@@ -4,6 +4,11 @@ A relabeling by a permutation p sends table[i][j] = k to table'[p(i)][p(j)] =
 p(k) and i <= j to p(i) <= p(j).  The canonical form of a structure is the
 lexicographically least encoding over all relabelings, so two structures are
 isomorphic exactly when their canonical forms coincide.
+
+The search compares each relabeling against the running least one cell by
+cell and stops at the first difference (`cmp_relabeled`), so a relabeled
+copy is built only when it is a new least; the enumeration's canonicity
+tests (`is_least`) use the same comparison against the structure itself.
 """
 
 from __future__ import annotations
@@ -59,37 +64,73 @@ def relabel_relation(rel, perm):
     return tuple(tuple(r) for r in out)
 
 
+def cmp_relabeled(mat, perm, pinv, ref, values=True):
+    """-1, 0 or 1 as mat relabeled by perm is less than, equal to or greater
+    than ref, comparing cell by cell in row-major order and stopping at the
+    first difference; the relabeled matrix is never built.
+
+    pinv is the inverse of perm.  values=False compares a boolean relation,
+    whose entries are truth values rather than carrier elements.
+    """
+    n = len(mat)
+    for r in range(n):
+        src = mat[pinv[r]]
+        row = ref[r]
+        for c in range(n):
+            x = src[pinv[c]]
+            if values:
+                x = perm[x]
+            y = row[c]
+            if x != y:
+                return -1 if x < y else 1
+    return 0
+
+
+def _cmp_parts(parts, perm, pinv, refs):
+    """cmp_relabeled over the (matrix, values) parts against refs, in order:
+    the first part that differs decides."""
+    for (mat, values), ref in zip(parts, refs):
+        cmp = cmp_relabeled(mat, perm, pinv, ref, values)
+        if cmp:
+            return cmp
+    return 0
+
+
+def is_least(parts, perms):
+    """True when no (perm, inverse) in perms relabels the (matrix, values)
+    parts to something smaller; the enumeration's canonicity test."""
+    mats = [mat for mat, _ in parts]
+    return all(_cmp_parts(parts, perm, pinv, mats) >= 0 for perm, pinv in perms)
+
+
+def _least_relabeling(parts):
+    """Least relabeling of the (matrix, values) parts, compared in order.
+    Each permutation is compared against the running best and only a new
+    best is built."""
+    n = len(parts[0][0])
+    _check_cap(n)
+    best = [mat for mat, _ in parts]
+    for perm, pinv in perms_with_inverse(n)[1:]:
+        if _cmp_parts(parts, perm, pinv, best) < 0:
+            best = [
+                relabel_table(mat, perm) if values else relabel_relation(mat, perm)
+                for mat, values in parts
+            ]
+    return tuple(best)
+
+
 def canonical_ordered(table, leq):
     """Least relabeling of (table, leq); the table part is compared first."""
-    n = len(table)
-    _check_cap(n)
     table = tuple(tuple(row) for row in table)
     leq = tuple(tuple(bool(v) for v in row) for row in leq)
-    best = (table, leq)
-    for perm, _ in perms_with_inverse(n)[1:]:
-        cand = (relabel_table(table, perm), relabel_relation(leq, perm))
-        if cand < best:
-            best = cand
-    return best
+    return _least_relabeling(((table, True), (leq, False)))
 
 
 def canonical_le(table, join, meet):
     """Least relabeling of (table, join, meet), compared in that order."""
-    n = len(table)
-    _check_cap(n)
-    t = tuple(tuple(row) for row in table)
-    j = tuple(tuple(row) for row in join)
-    m = tuple(tuple(row) for row in meet)
-    best = (t, j, m)
-    for perm, _ in perms_with_inverse(n)[1:]:
-        cand = (
-            relabel_table(t, perm),
-            relabel_table(j, perm),
-            relabel_table(m, perm),
-        )
-        if cand < best:
-            best = cand
-    return best
+    return _least_relabeling(
+        tuple((tuple(tuple(row) for row in mat), True) for mat in (table, join, meet))
+    )
 
 
 def _digest(payload):

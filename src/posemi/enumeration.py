@@ -1,10 +1,14 @@
 """Exhaustive generation of small finite structures.
 
-Associative tables are produced by backtracking over the cells in row-major
-order with incremental associativity pruning; partial orders, lattices and
-join-distributive multiplications are generated the same way and filtered
-against their axioms.  All streams are deterministic: ascending by the
-row-major encoding of the structure, independent of sharding.
+Associative tables are produced by one backtracker over the cells in
+row-major order.  Its pruning is complete: every associativity triple is
+checked the moment its last cell is set, so a partial table survives only
+while all of its fully known triples hold and every leaf is associative.
+Join-distributive multiplications come from the same backtracker with a
+per-cell distributivity hook.  Partial orders are generated by their own
+backtracker, and lattices and compatible orders are filtered from them.
+All streams are deterministic: ascending by the row-major encoding of the
+structure, independent of sharding.
 
 Deduplication keeps exactly the structures that equal their own canonical
 relabeling, so the up_to_iso stream is the set of canonical forms of the raw
@@ -29,7 +33,15 @@ DEDUP_MODES = ("none", "up_to_iso")
 def max_enum_order():
     """Enumeration order cap; POSEMI_MAX_ORDER overrides the default of 5."""
     raw = os.environ.get("POSEMI_MAX_ORDER")
-    return int(raw) if raw else DEFAULT_MAX_ORDER
+    if not raw:
+        return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"POSEMI_MAX_ORDER must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -79,38 +91,30 @@ def _finalize(stream, cfg):
             return
 
 
-def _is_associative_full(table, n):
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    return False
-    return True
+def _fill(n, hook=None):
+    """Associative n x n tables, ascending in row-major order, whose every
+    cell passes hook(table, i, j) when it is set (later cells still -1).
 
-
-def associative_tables(n):
-    """Yield every associative n x n table, ascending in row-major order."""
+    Each associativity triple (a, b, c) is checked as soon as the last of its
+    cells is set, whichever of them that is, so no dead subtree outlives the
+    cell that kills it and no leaf check is needed.
+    """
     rng = range(n)
-    table = [[-1] * n for _ in range(n)]
+    table = [[-1] * n for _ in rng]
+    preimage = [[] for _ in rng]  # preimage[v]: set cells (a, b) with ab = v
 
     def consistent(i, j, v):
-        # partial associativity for triples whose first or last product is
-        # the fresh cell; unknown cells (-1) are skipped, a final full check
-        # covers the triples that only complete later
         row_i = table[i]
         row_j = table[j]
         row_v = table[v]
-        for c in rng:
+        for c in rng:  # (ij)c = i(jc)
             lhs = row_v[c]
             q = row_j[c]
             if lhs >= 0 and q >= 0:
                 rhs = row_i[q]
                 if rhs >= 0 and lhs != rhs:
                     return False
-        for a in rng:
+        for a in rng:  # (ai)j = a(ij)
             row_a = table[a]
             p = row_a[i]
             if p >= 0:
@@ -118,62 +122,40 @@ def associative_tables(n):
                 rhs = row_a[v]
                 if lhs >= 0 and rhs >= 0 and lhs != rhs:
                     return False
+        for a, b in preimage[i]:  # (ab)j = a(bj) with ab = i
+            q = table[b][j]
+            if q >= 0:
+                rhs = table[a][q]
+                if rhs >= 0 and rhs != v:
+                    return False
+        for b, c in preimage[j]:  # i(bc) = (ib)c with bc = j
+            p = row_i[b]
+            if p >= 0:
+                lhs = table[p][c]
+                if lhs >= 0 and lhs != v:
+                    return False
         return True
 
     def fill(k):
         if k == n * n:
-            if _is_associative_full(table, n):
-                yield tuple(tuple(row) for row in table)
+            yield tuple(tuple(row) for row in table)
             return
         i, j = divmod(k, n)
         row = table[i]
         for v in rng:
             row[j] = v
-            if consistent(i, j, v):
+            if consistent(i, j, v) and (hook is None or hook(table, i, j)):
+                preimage[v].append((i, j))
                 yield from fill(k + 1)
+                preimage[v].pop()
         row[j] = -1
 
-    yield from fill(0)
+    return fill(0)
 
 
-def _cmp_relabeled(mat, perm, pinv, n):
-    """-1/0/1: relabeled copy of an element-valued table versus the original."""
-    for r in range(n):
-        src = mat[pinv[r]]
-        ref = mat[r]
-        for c in range(n):
-            x = perm[src[pinv[c]]]
-            y = ref[c]
-            if x != y:
-                return -1 if x < y else 1
-    return 0
-
-
-def _is_canonical_table(table, perms):
-    n = len(table)
-    for perm, pinv in perms[1:]:
-        if _cmp_relabeled(table, perm, pinv, n) < 0:
-            return False
-    return True
-
-
-def _is_min_relation(leq, auts, n):
-    """True when no automorphism relabels leq to something smaller."""
-    for perm, pinv in auts:
-        for r in range(n):
-            src = leq[pinv[r]]
-            ref = leq[r]
-            for c in range(n):
-                x = src[pinv[c]]
-                y = ref[c]
-                if x != y:
-                    if x < y:
-                        return False
-                    break
-            else:
-                continue
-            break
-    return True
+def associative_tables(n):
+    """Yield every associative n x n table, ascending in row-major order."""
+    return _fill(n)
 
 
 def enumerate_semigroups(cfg):
@@ -186,9 +168,9 @@ def enumerate_semigroups(cfg):
 
     def stream():
         if cfg.dedup == "up_to_iso":
-            perms = canon.perms_with_inverse(cfg.order)
+            perms = canon.perms_with_inverse(cfg.order)[1:]
             for table in associative_tables(cfg.order):
-                if _is_canonical_table(table, perms):
+                if canon.is_least(((table, True),), perms):
                     yield table
         else:
             yield from associative_tables(cfg.order)
@@ -279,10 +261,12 @@ def enumerate_ordered_semigroups(cfg):
             perms = canon.perms_with_inverse(n)
             for table in enumerate_semigroups(base):
                 auts = [
-                    (p, pi) for p, pi in perms if _cmp_relabeled(table, p, pi, n) == 0
+                    (p, pi)
+                    for p, pi in perms[1:]
+                    if canon.cmp_relabeled(table, p, pi, table) == 0
                 ]
                 for leq in enumerate_compatible_orders(table):
-                    if len(auts) == 1 or _is_min_relation(leq, auts, n):
+                    if not auts or canon.is_least(((leq, False),), auts):
                         yield OrderedSemigroup(table, leq)
         else:
             for table in enumerate_semigroups(base):
@@ -326,24 +310,23 @@ def _lattice_tables(leq, n):
     return tuple(tuple(r) for r in join), tuple(tuple(r) for r in meet)
 
 
-def _le_multiplications(join, n):
-    """Associative tables distributing over join on both sides, ascending.
+def _join_distributive(join, n):
+    """Cell hook for _fill: multiplication distributes over join on both
+    sides.
 
     With row-major filling, a left-distributivity instance a(b v c) lives
     entirely in row a and is checkable once its largest column is set; a
     right-distributivity instance lives in one column and is checkable once
     its largest row is reached.  Both are therefore enforced incrementally
-    and completely; associativity still needs the final full check.
+    and completely.
     """
     by_max = [[] for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             u = join[a][b]
             by_max[max(a, b, u)].append((a, b, u))
-    rng = range(n)
-    table = [[-1] * n for _ in range(n)]
 
-    def consistent(i, j, v):
+    def hook(table, i, j):
         row_i = table[i]
         for b, c, u in by_max[j]:
             if join[row_i[b]][row_i[c]] != row_i[u]:
@@ -351,52 +334,9 @@ def _le_multiplications(join, n):
         for a, b, u in by_max[i]:
             if join[table[a][j]][table[b][j]] != table[u][j]:
                 return False
-        row_j = table[j]
-        row_v = table[v]
-        for c in rng:
-            lhs = row_v[c]
-            q = row_j[c]
-            if lhs >= 0 and q >= 0:
-                rhs = row_i[q]
-                if rhs >= 0 and lhs != rhs:
-                    return False
-        for a in rng:
-            row_a = table[a]
-            p = row_a[i]
-            if p >= 0:
-                lhs = table[p][j]
-                rhs = row_a[v]
-                if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                    return False
         return True
 
-    def fill(k):
-        if k == n * n:
-            if _is_associative_full(table, n):
-                yield tuple(tuple(row) for row in table)
-            return
-        i, j = divmod(k, n)
-        row = table[i]
-        for v in rng:
-            row[j] = v
-            if consistent(i, j, v):
-                yield from fill(k + 1)
-        row[j] = -1
-
-    yield from fill(0)
-
-
-def _is_canonical_le(table, join, meet, n):
-    perms = canon.perms_with_inverse(n)
-    for perm, pinv in perms[1:]:
-        cmp = _cmp_relabeled(table, perm, pinv, n)
-        if cmp == 0:
-            cmp = _cmp_relabeled(join, perm, pinv, n)
-        if cmp == 0:
-            cmp = _cmp_relabeled(meet, perm, pinv, n)
-        if cmp < 0:
-            return False
-    return True
+    return hook
 
 
 def enumerate_le_semigroups(cfg):
@@ -406,10 +346,11 @@ def enumerate_le_semigroups(cfg):
     n = cfg.order
 
     def stream():
+        perms = canon.perms_with_inverse(n)[1:]
         for leq, join, meet, top in all_lattices(n):
-            for table in _le_multiplications(join, n):
-                if cfg.dedup == "up_to_iso" and not _is_canonical_le(
-                    table, join, meet, n
+            for table in _fill(n, _join_distributive(join, n)):
+                if cfg.dedup == "up_to_iso" and not canon.is_least(
+                    ((table, True), (join, True), (meet, True)), perms
                 ):
                     continue
                 yield LeSemigroup(table, join, meet, top=top)

@@ -207,6 +207,20 @@ class TestVerifyCampaign:
         code, out, _ = run(capsys, ["verify", "theorem1", "--max-order", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("raw", ["x", "0", "-3", "2.5"])
+    def test_env_cap_must_be_positive_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("POSEMI_MAX_ORDER", raw)
+        for argv in (
+            ["verify", "theorem1", "--max-order", "2"],
+            ["enumerate", "--kind", "semigroup", "--order", "2"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error: POSEMI_MAX_ORDER must be a positive integer, got '{raw}'\n"
+            )
+
     def test_max_order_required_without_file(self, capsys):
         code, _, err = run(capsys, ["verify", "theorem1"])
         assert code == 2

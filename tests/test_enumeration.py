@@ -38,14 +38,29 @@ def brute_force_semigroup_tables(n):
     out = []
     for values in itertools.product(range(n), repeat=n * n):
         t = tuple(values[i * n : (i + 1) * n] for i in range(n))
-        if all(
-            t[t[a][b]][c] == t[a][t[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        ):
+        if is_associative(t, n):
             out.append(t)
     return out
+
+
+def join_distributive(t, join, n):
+    """Multiplication distributes over join on both sides."""
+    return all(
+        t[a][join[b][c]] == join[t[a][b]][t[a][c]]
+        and t[join[b][c]][a] == join[t[b][a]][t[c][a]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def is_associative(t, n):
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
 
 
 def brute_force_posets(n):
@@ -88,8 +103,6 @@ class TestSemigroupEnumeration:
             got = sum(1 for _ in enumerate_semigroups(EnumerationConfig(order=int(n))))
             assert got == expected
         for n, expected in counts["iso"].items():
-            if int(n) > 3:
-                continue  # order 4 is exercised by the acceptance suite
             got = sum(
                 1
                 for _ in enumerate_semigroups(
@@ -220,6 +233,23 @@ class TestLeEnumeration:
         got = sum(1 for _ in enumerate_le_semigroups(EnumerationConfig(order=2)))
         assert got == expected == 12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_per_lattice(self, n):
+        # the shared backtracker with its distributivity hook against
+        # generate-and-filter over all n^(n*n) tables, lattice by lattice
+        semigroups = sorted(brute_force_semigroup_tables(n))
+        expected = [
+            (join, t)
+            for _, join, _, _ in all_lattices(n)
+            for t in semigroups
+            if join_distributive(t, join, n)
+        ]
+        got = [
+            (L.join, L.table)
+            for L in enumerate_le_semigroups(EnumerationConfig(order=n))
+        ]
+        assert got == expected
+
     def test_includes_null_and_meet_chains(self, l3null, l3meet):
         members = list(enumerate_le_semigroups(EnumerationConfig(order=3)))
         assert l3null in members
@@ -325,13 +355,15 @@ class TestConfigValidation:
 
 
 def test_associative_tables_really_are():
-    for t in associative_tables(3):
-        n = 3
+    # every associativity triple is checked when its last cell is set, so
+    # the backtracker needs no leaf check: each table it completes is
+    # associative (the counts are pinned in counts.json), with and without
+    # the distributivity hook
+    for n in range(1, 5):
+        assert all(is_associative(t, n) for t in associative_tables(n))
         assert all(
-            t[t[a][b]][c] == t[a][t[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
+            is_associative(L.table, n)
+            for L in enumerate_le_semigroups(EnumerationConfig(order=n))
         )
 
 
