@@ -14,7 +14,6 @@ from .enumeration import (
     all_lattices,
     all_posets,
     associative_tables,
-    canonicalize,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
@@ -26,10 +25,10 @@ from .le import (
     ElementWitness,
     LeSemigroup,
     PoeSemigroup,
-    as_poe_semigroup,
     check_remark,
     element_class,
     gen_element,
+    greatest,
     ideal_elements,
     is_intra_regular_poe,
     le_condition_holds,

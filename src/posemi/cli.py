@@ -23,10 +23,12 @@ def _fmt_bool(b):
 
 def _parse_shard(text):
     try:
-        i, t = text.split("/")
-        return int(i), int(t)
+        i, t = (int(v) for v in text.split("/"))
     except ValueError:
         raise argparse.ArgumentTypeError("shard must look like i/t, e.g. 0/4") from None
+    if not 0 <= i < t:
+        raise argparse.ArgumentTypeError(f"shard {text} must satisfy 0 <= i < t")
+    return i, t
 
 
 def build_parser():
@@ -72,12 +74,6 @@ def build_parser():
     return parser
 
 
-def _as_ordered_view(structure):
-    if isinstance(structure, le.LeSemigroup):
-        return ordered.OrderedSemigroup(structure.table, structure.leq)
-    return structure
-
-
 def _parse_subset(loaded, text):
     mask = 0
     for token in (t.strip() for t in text.split(",")):
@@ -88,11 +84,6 @@ def _parse_subset(loaded, text):
 
 def _set_str(loaded, mask):
     return "{" + ", ".join(loaded.label(i) for i in ordered.subset_indices(mask)) + "}"
-
-
-def _greatest(s):
-    tops = [t for t in range(s.n) if all(s.leq[i][t] for i in range(s.n))]
-    return tops[0] if len(tops) == 1 else None
 
 
 def _report_line(report):
@@ -127,7 +118,7 @@ def _campaign(scope, max_order, dedup, shard):
                 idx += 1
         else:
             for s in enumeration.enumerate_ordered_semigroups(cfg):
-                top = _greatest(s)
+                top = le.greatest(s.leq)
                 if top is None:
                     continue
                 if shard is None or idx % shard[1] == shard[0]:
@@ -174,7 +165,7 @@ def _verify_file(args):
     loaded = storage.load(args.file)
     s = loaded.structure
     if args.scope == "theorem1":
-        report = ordered.verify_theorem1(_as_ordered_view(s))
+        report = ordered.verify_theorem1(s)
         print(_report_line(report))
         for cond, w in report.witnesses:
             print(
@@ -196,12 +187,10 @@ def _verify_file(args):
             )
         ok = report.equivalence_ok
     else:
-        if isinstance(s, le.LeSemigroup):
-            poe = le.as_poe_semigroup(s)
-        elif isinstance(s, le.PoeSemigroup):
+        if isinstance(s, le.PoeSemigroup):
             poe = s
         else:
-            top = _greatest(s)
+            top = le.greatest(s.leq)
             if top is None:
                 print("error: remark requires a greatest element", file=sys.stderr)
                 return 2
@@ -222,7 +211,7 @@ def cmd_classify(args):
     loaded = storage.load(args.file)
     s = loaded.structure
     if args.subset is not None:
-        flags = ordered.classify_subset(_as_ordered_view(s), _parse_subset(loaded, args.subset))
+        flags = ordered.classify_subset(s, _parse_subset(loaded, args.subset))
         print(
             f"left={_fmt_bool(flags.left)} right={_fmt_bool(flags.right)}"
             f" quasi={_fmt_bool(flags.quasi)} bi={_fmt_bool(flags.bi)}"
@@ -230,7 +219,7 @@ def cmd_classify(args):
             f" nonempty={_fmt_bool(flags.nonempty)}"
         )
         return 0
-    if not isinstance(s, (le.LeSemigroup, le.PoeSemigroup)):
+    if not isinstance(s, le.PoeSemigroup):
         print(
             "error: element classification requires a poe_semigroup or"
             " le_semigroup file",
@@ -250,10 +239,9 @@ def cmd_generate(args):
     loaded = storage.load(args.file)
     s = loaded.structure
     if args.subset is not None:
-        base = _as_ordered_view(s)
         mask = _parse_subset(loaded, args.subset)
-        got = ordered.gen_ideal(base, mask, args.kind)
-        want = ordered.least_ideal_oracle(base, mask, args.kind)
+        got = ordered.gen_ideal(s, mask, args.kind)
+        want = ordered.least_ideal_oracle(s, mask, args.kind)
         print(_set_str(loaded, got))
         if got == want:
             print("oracle: match")
@@ -276,8 +264,9 @@ def cmd_generate(args):
 
 def cmd_witness(args):
     loaded = storage.load(args.file)
-    base = _as_ordered_view(loaded.structure)
-    pair = ordered.intra_regular_witness(base, loaded.index_of(args.element))
+    pair = ordered.intra_regular_witness(
+        loaded.structure, loaded.index_of(args.element)
+    )
     if pair is None:
         print("none")
     else:

@@ -356,8 +356,3 @@ def enumerate_le_semigroups(cfg):
                 yield LeSemigroup(table, join, meet, top=top)
 
     return _finalize(stream(), cfg)
-
-
-def canonicalize(table, leq):
-    """Canonical (table, leq) pair under relabeling; idempotent."""
-    return canon.canonical_ordered(table, leq)

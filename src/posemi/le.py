@@ -10,7 +10,6 @@ a v ae, a v ea and a v (ae ^ ea).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .canon import le_structure_id
@@ -21,47 +20,57 @@ ELEMENT_KINDS = ("right", "left", "bi", "quasi")
 ELEMENT_GENERATOR_KINDS = ("right", "left", "quasi")
 
 
-def _check_square(name, mat, n):
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"{name} must be {n}x{n}")
+def greatest(leq):
+    """The unique greatest element of an order relation, or None."""
+    n = len(leq)
+    tops = [t for t in range(n) if all(leq[i][t] for i in range(n))]
+    return tops[0] if len(tops) == 1 else None
 
 
-class LeSemigroup:
-    """Finite lattice-ordered semigroup with greatest element.
+class PoeSemigroup(OrderedSemigroup):
+    """Ordered semigroup with a greatest element; need not be a lattice.
 
-    join and meet are the lattice tables; the order is derived from join
-    (i <= j iff i v j = j), never supplied separately.  top is derived when
-    not given.  Construction checks shapes and ranges only; `validate_le`
-    reports axiom violations.
+    top is derived from the order when not given.
     """
 
-    __slots__ = ("n", "table", "join", "meet", "top", "leq")
+    __slots__ = ("top",)
+
+    def __init__(self, table, leq, top=None):
+        super().__init__(table, leq)
+        if top is None:
+            top = greatest(self.leq)
+            if top is None:
+                raise ValueError("no unique greatest element; pass top explicitly")
+        elif not 0 <= top < self.n:
+            raise ValueError(f"top index {top} out of range")
+        self.top = top
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, top={self.top})"
+
+
+class LeSemigroup(PoeSemigroup):
+    """Finite lattice-ordered semigroup with greatest element: a
+    poe-semigroup whose order comes from join.
+
+    join and meet are the lattice tables; the order is derived from join
+    (i <= j iff i v j = j), never supplied separately.  Construction checks
+    shapes and ranges only; `validate_le` reports axiom violations.
+    """
+
+    __slots__ = ("join", "meet")
 
     def __init__(self, table, join, meet, top=None):
         n = len(table)
-        if n == 0:
-            raise ValueError("carrier must be nonempty")
-        _check_square("table", table, n)
-        _check_square("join", join, n)
-        _check_square("meet", meet, n)
-        self.n = n
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
-        self.join = tuple(tuple(int(v) for v in row) for row in join)
-        self.meet = tuple(tuple(int(v) for v in row) for row in meet)
-        for name, mat in (("table", self.table), ("join", self.join), ("meet", self.meet)):
+        self.join = tuple(tuple(map(int, row)) for row in join)
+        self.meet = tuple(tuple(map(int, row)) for row in meet)
+        for name, mat in (("join", self.join), ("meet", self.meet)):
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ValueError(f"{name} must be {n}x{n}")
             if any(not 0 <= v < n for row in mat for v in row):
                 raise ValueError(f"{name} entries must be carrier indices")
-        self.leq = tuple(
-            tuple(self.join[i][j] == j for j in range(n)) for i in range(n)
-        )
-        if top is None:
-            tops = [t for t in range(n) if all(self.leq[i][t] for i in range(n))]
-            if len(tops) != 1:
-                raise ValueError("no unique greatest element; pass top explicitly")
-            top = tops[0]
-        elif not 0 <= top < n:
-            raise ValueError(f"top index {top} out of range")
-        self.top = top
+        leq = tuple(tuple(self.join[i][j] == j for j in range(n)) for i in range(n))
+        super().__init__(table, leq, top)
 
     def __eq__(self, other):
         return (
@@ -75,37 +84,11 @@ class LeSemigroup:
     def __hash__(self):
         return hash((self.table, self.join, self.meet, self.top))
 
-    def __repr__(self):
-        return f"LeSemigroup(n={self.n}, top={self.top})"
-
-
-class PoeSemigroup(OrderedSemigroup):
-    """Ordered semigroup with a greatest element; need not be a lattice."""
-
-    __slots__ = ("top",)
-
-    def __init__(self, table, leq, top=None):
-        super().__init__(table, leq)
-        if top is None:
-            tops = [
-                t for t in range(self.n) if all(self.leq[i][t] for i in range(self.n))
-            ]
-            if len(tops) != 1:
-                raise ValueError("no unique greatest element; pass top explicitly")
-            top = tops[0]
-        elif not 0 <= top < self.n:
-            raise ValueError(f"top index {top} out of range")
-        self.top = top
-
-
-def as_poe_semigroup(L):
-    """View a lattice-ordered semigroup as a poe-semigroup on its order."""
-    return PoeSemigroup(L.table, L.leq, top=L.top)
-
 
 def validate_le(L):
-    """Check the lattice, associativity and join-distributivity axioms;
-    one message per violation, empty list when valid."""
+    """Check the lattice and join-distributivity axioms, then the
+    poe-semigroup axioms of the induced order (`validate_poe`); one message
+    per violation, empty list when valid."""
     bad = []
     n, t, J, M = L.n, L.table, L.join, L.meet
     for i in range(n):
@@ -136,14 +119,6 @@ def validate_le(L):
                 bad.append(f"absorption: {i} v ({i} ^ {j}) != {i}")
             if M[i][J[i][j]] != i:
                 bad.append(f"absorption: {i} ^ ({i} v {j}) != {i}")
-    for i in range(n):
-        if J[i][L.top] != L.top:
-            bad.append(f"greatest element: {i} v top != top")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[t[i][j]][k] != t[i][t[j][k]]:
-                    bad.append(f"associativity: ({i}*{j})*{k} != {i}*({j}*{k})")
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -155,15 +130,7 @@ def validate_le(L):
                     bad.append(
                         f"right distributivity: ({a} v {b})*{c} != {a}*{c} v {b}*{c}"
                     )
-    # compatibility with the induced order follows from distributivity;
-    # asserted anyway so an inconsistency is reported directly
-    for i in range(n):
-        for j in range(n):
-            if i != j and L.leq[i][j]:
-                for k in range(n):
-                    if not L.leq[t[k][i]][t[k][j]] or not L.leq[t[i][k]][t[j][k]]:
-                        bad.append(f"compatibility: {i} <= {j} not preserved by {k}")
-    return bad
+    return bad + validate_poe(L)
 
 
 def validate_poe(p):
@@ -312,32 +279,11 @@ def le_condition_holds(L, kind):
 def verify_theorem2(L):
     """Check that intra-regularity and both element-triple conditions agree
     on one lattice-ordered semigroup."""
-    t0 = time.perf_counter()
-    c1 = is_intra_regular_poe(L)
-    t1 = time.perf_counter()
-    r2 = le_condition_holds(L, "bi")
-    t2 = time.perf_counter()
-    r3 = le_condition_holds(L, "quasi")
-    t3 = time.perf_counter()
-    witnesses = []
-    if r2 is not True:
-        witnesses.append(("c2", r2))
-    if r3 is not True:
-        witnesses.append(("c3", r3))
-    c2 = r2 is True
-    c3 = r3 is True
-    return VerificationReport(
-        structure_id=le_structure_id(L.table, L.join, L.meet),
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        equivalence_ok=c1 == c2 == c3,
-        witnesses=tuple(witnesses),
-        timing_ms=(
-            (t1 - t0) * 1000.0,
-            (t2 - t1) * 1000.0,
-            (t3 - t2) * 1000.0,
-        ),
+    return VerificationReport.of(
+        le_structure_id(L.table, L.join, L.meet),
+        is_intra_regular_poe(L),
+        le_condition_holds(L, "bi"),
+        le_condition_holds(L, "quasi"),
     )
 
 
@@ -347,8 +293,8 @@ def check_remark(struct):
     the order; triples without one are skipped.  Vacuously True when the
     structure is not intra-regular.
     """
-    if not isinstance(struct, (LeSemigroup, PoeSemigroup)):
-        raise TypeError("check_remark requires a PoeSemigroup or LeSemigroup")
+    if not isinstance(struct, PoeSemigroup):
+        raise TypeError("check_remark requires a PoeSemigroup")
     if not is_intra_regular_poe(struct):
         return True
     t = struct.table

@@ -17,7 +17,6 @@ where (H] = {t : t <= h for some h in H} is the downward closure.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .canon import ordered_structure_id
@@ -45,12 +44,12 @@ class OrderedSemigroup:
             raise ValueError("carrier must be nonempty")
         if any(len(row) != n for row in table):
             raise ValueError("table must be square")
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         if any(not 0 <= v < n for row in self.table for v in row):
             raise ValueError("table entries must be carrier indices")
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError("leq must be square and match the table size")
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.leq = tuple(tuple(map(bool, row)) for row in leq)
         self.n = n
         self.full = (1 << n) - 1
         self.below = tuple(
@@ -328,30 +327,9 @@ def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
 def verify_theorem1(s, cap=SUBSET_ENUM_CAP):
     """Check that intra-regularity and both ideal-triple conditions agree on
     one structure; failing conditions carry witnesses in the report."""
-    t0 = time.perf_counter()
-    c1 = is_intra_regular(s)
-    t1 = time.perf_counter()
-    r2 = condition_holds(s, "bi", cap=cap)
-    t2 = time.perf_counter()
-    r3 = condition_holds(s, "quasi", cap=cap)
-    t3 = time.perf_counter()
-    witnesses = []
-    if r2 is not True:
-        witnesses.append(("c2", r2))
-    if r3 is not True:
-        witnesses.append(("c3", r3))
-    c2 = r2 is True
-    c3 = r3 is True
-    return VerificationReport(
-        structure_id=ordered_structure_id(s.table, s.leq),
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        equivalence_ok=c1 == c2 == c3,
-        witnesses=tuple(witnesses),
-        timing_ms=(
-            (t1 - t0) * 1000.0,
-            (t2 - t1) * 1000.0,
-            (t3 - t2) * 1000.0,
-        ),
+    return VerificationReport.of(
+        ordered_structure_id(s.table, s.leq),
+        is_intra_regular(s),
+        condition_holds(s, "bi", cap=cap),
+        condition_holds(s, "quasi", cap=cap),
     )

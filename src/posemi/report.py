@@ -11,8 +11,7 @@ class VerificationReport:
 
     c1 is intra-regularity, c2 the bi-ideal triple condition, c3 the
     quasi-ideal triple condition.  witnesses holds (condition, witness)
-    pairs for whichever conditions failed; timing_ms is the wall time
-    spent on each condition.
+    pairs for whichever conditions failed.
     """
 
     structure_id: str
@@ -21,8 +20,15 @@ class VerificationReport:
     c3: bool
     equivalence_ok: bool
     witnesses: tuple = ()
-    timing_ms: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.equivalence_ok != (self.c1 == self.c2 == self.c3):
             raise ValueError("equivalence_ok must equal (c1 == c2 == c3)")
+
+    @classmethod
+    def of(cls, structure_id, c1, r2, r3):
+        """Report from c1 and the c2/c3 condition results, each True or the
+        first failing witness."""
+        c2, c3 = r2 is True, r3 is True
+        witnesses = tuple((c, r) for c, r in (("c2", r2), ("c3", r3)) if r is not True)
+        return cls(structure_id, c1, c2, c3, c1 == c2 == c3, witnesses)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .le import LeSemigroup, PoeSemigroup, validate_le, validate_poe
+from .le import LeSemigroup, PoeSemigroup, validate_le
 from .ordered import OrderedSemigroup, validate
 
 KINDS = ("ordered_semigroup", "poe_semigroup", "le_semigroup")
@@ -129,21 +129,17 @@ def from_payload(obj):
             raise StructureFileError("field 'top' must be a carrier index")
         structure = LeSemigroup(table, join, meet, top=top)
         violations = validate_le(structure)
-    elif kind == "poe_semigroup":
-        leq = _leq_matrix(obj, n)
-        base = OrderedSemigroup(table, leq)
-        violations = validate(base)
-        if violations:
-            _fail_violations(violations)
-        try:
-            structure = PoeSemigroup(table, leq)
-        except ValueError as exc:
-            raise StructureFileError(str(exc)) from None
-        violations = validate_poe(structure)
     else:
         leq = _leq_matrix(obj, n)
         structure = OrderedSemigroup(table, leq)
         violations = validate(structure)
+        if kind == "poe_semigroup" and not violations:
+            # a valid order has at most one greatest element; PoeSemigroup
+            # derives it, so no greatest-element check remains
+            try:
+                structure = PoeSemigroup(table, leq)
+            except ValueError as exc:
+                raise StructureFileError(str(exc)) from None
     if violations:
         _fail_violations(violations)
     return Loaded(kind=kind, structure=structure, names=names)
@@ -188,13 +184,15 @@ def to_payload(structure, names=None):
 
 def load(path):
     """Load and validate a structure file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureFileError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+    except OSError as exc:
+        raise StructureFileError(f"{path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise StructureFileError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
     try:
         return from_payload(obj)
     except StructureFileError as exc:

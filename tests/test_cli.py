@@ -194,6 +194,19 @@ class TestVerifyCampaign:
         assert sorted(shard_lines) == sorted(whole_lines)
         assert len(shard_lines) == len(whole_lines)
 
+    @pytest.mark.parametrize("shard", ["0/0", "5/2", "-1/2"])
+    def test_bad_shard_is_a_usage_error(self, capsys, shard):
+        for argv in (
+            ["verify", "theorem1", "--max-order", "2"],
+            ["enumerate", "--kind", "semigroup", "--order", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--shard={shard}"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "0 <= i < t" in captured.err
+
     def test_max_order_cap(self, capsys):
         code, _, err = run(capsys, ["verify", "theorem1", "--max-order", "9"])
         assert code == 2
@@ -298,8 +311,20 @@ class TestEnumerateCommand:
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
-        with pytest.raises(FileNotFoundError):
-            main(["classify", "--file", "no-such.json", "--subset", "0"])
+        code, out, err = run(
+            capsys, ["classify", "--file", "no-such.json", "--subset", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no-such.json: ")
+        assert "Traceback" not in err
+
+    def test_unreadable_file(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, ["witness", "--file", str(tmp_path), "--element", "0"]
+        )
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path}: ")
 
     def test_invalid_structure_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

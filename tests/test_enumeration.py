@@ -13,7 +13,7 @@ from posemi import (
     all_posets,
     associative_tables,
     canonical_le,
-    canonicalize,
+    canonical_ordered,
     validate,
     validate_le,
 )
@@ -115,7 +115,7 @@ class TestSemigroupEnumeration:
     def test_iso_stream_is_canonical_forms_of_raw(self, n):
         discrete = [[i == j for j in range(n)] for i in range(n)]
         raw = list(enumerate_semigroups(EnumerationConfig(order=n)))
-        canonical = {canonicalize(t, discrete)[0] for t in raw}
+        canonical = {canonical_ordered(t, discrete)[0] for t in raw}
         iso = list(enumerate_semigroups(EnumerationConfig(order=n, dedup="up_to_iso")))
         assert set(iso) == canonical
         assert len(iso) == len(canonical)
@@ -197,7 +197,7 @@ class TestOrderedEnumeration:
         for n in (2, 3):
             raw = list(enumerate_ordered_semigroups(EnumerationConfig(order=n)))
             expected = [
-                s for s in raw if canonicalize(s.table, s.leq) == (s.table, s.leq)
+                s for s in raw if canonical_ordered(s.table, s.leq) == (s.table, s.leq)
             ]
             got = list(
                 enumerate_ordered_semigroups(
@@ -271,20 +271,20 @@ class TestLeEnumeration:
 class TestCanonicalize:
     def test_idempotent(self):
         for s in enumerate_ordered_semigroups(EnumerationConfig(order=3, limit=50)):
-            c = canonicalize(s.table, s.leq)
-            assert canonicalize(*c) == c
+            c = canonical_ordered(s.table, s.leq)
+            assert canonical_ordered(*c) == c
 
     def test_left_zero_and_right_zero_differ(self):
         discrete = ((True, False), (False, True))
-        lz = canonicalize(((0, 0), (1, 1)), discrete)
-        rz = canonicalize(((0, 1), (0, 1)), discrete)
+        lz = canonical_ordered(((0, 0), (1, 1)), discrete)
+        rz = canonical_ordered(((0, 1), (0, 1)), discrete)
         assert lz != rz
 
     def test_relabeling_invariance(self, n2):
         relabeled_table = relabel_table(n2.table, (1, 0))
         relabeled_leq = relabel_relation(n2.leq, (1, 0))
-        assert canonicalize(relabeled_table, relabeled_leq) == canonicalize(
-            n2.table, n2.leq
+        assert canonical_ordered(relabeled_table, relabeled_leq) == (
+            canonical_ordered(n2.table, n2.leq)
         )
 
     def test_cap(self):
@@ -292,7 +292,7 @@ class TestCanonicalize:
         table = [[0] * n for _ in range(n)]
         discrete = [[i == j for j in range(n)] for i in range(n)]
         with pytest.raises(ValueError):
-            canonicalize(table, discrete)
+            canonical_ordered(table, discrete)
 
 
 class TestShardingAndLimit:

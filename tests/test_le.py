@@ -7,11 +7,13 @@ import pytest
 from posemi import (
     ElementWitness,
     LeSemigroup,
+    OrderedSemigroup,
     PoeSemigroup,
-    as_poe_semigroup,
     check_remark,
+    classify_subset,
     element_class,
     gen_element,
+    greatest,
     ideal_elements,
     is_intra_regular_poe,
     le_condition_holds,
@@ -19,6 +21,7 @@ from posemi import (
     order_glb,
     validate_le,
     validate_poe,
+    verify_theorem1,
     verify_theorem2,
 )
 
@@ -66,6 +69,17 @@ class TestValidateLe:
         msgs = validate_le(bad)
         assert any("distributivity" in m for m in msgs)
 
+    def test_incompatible_table_is_reported(self):
+        # associative, but 1 <= 2 while 1*1 = 1 !<= 2*1 = 0: the one
+        # compatibility check (via validate_poe) and distributivity both fire
+        bad = LeSemigroup(
+            [[0, 0, 0], [0, 1, 0], [0, 0, 0]], CHAIN3_JOIN, CHAIN3_MEET, top=2
+        )
+        msgs = validate_le(bad)
+        assert not any(m.startswith("associativity") for m in msgs)
+        assert any(m.startswith("compatibility") for m in msgs)
+        assert any("distributivity" in m for m in msgs)
+
     def test_broken_lattice_is_reported(self):
         bad_join = [[0, 1, 2], [0, 1, 2], [2, 2, 2]]
         msgs = validate_le(
@@ -103,10 +117,19 @@ class TestElementClass:
         assert f.left and f.bi and not f.right
 
     def test_poe_agrees_with_lattice_view(self, le_universe_3):
+        # an le structure is a poe-semigroup on its join order: element
+        # flags match the glb-based poe view (meet vs order_glb), and
+        # set-level answers match the plain ordered view
         for L in le_universe_3:
-            poe = as_poe_semigroup(L)
+            assert isinstance(L, PoeSemigroup)
+            assert greatest(L.leq) == L.top
+            poe = PoeSemigroup(L.table, L.leq)
+            base = OrderedSemigroup(L.table, L.leq)
             for a in range(L.n):
                 assert element_class(poe, a) == element_class(L, a)
+            for mask in range(1 << L.n):
+                assert classify_subset(L, mask) == classify_subset(base, mask)
+            assert verify_theorem1(L) == verify_theorem1(base)
 
     def test_quasi_implies_bi(self, le_universe_3):
         for L in le_universe_3:
@@ -254,10 +277,11 @@ class TestGeneratedQuasiChain:
 
 class TestCheckRemark:
     def test_le_views_are_consistent(self, l3null, l3meet, le_universe_3):
-        assert check_remark(as_poe_semigroup(l3meet)) is True
-        assert check_remark(as_poe_semigroup(l3null)) is True
+        assert check_remark(l3meet) is True
+        assert check_remark(l3null) is True
         for L in le_universe_3:
-            poe = as_poe_semigroup(L)
+            poe = PoeSemigroup(L.table, L.leq)
+            assert check_remark(L) == check_remark(poe)
             if is_intra_regular_poe(L):
                 assert check_remark(poe) is True
 
