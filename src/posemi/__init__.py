@@ -32,6 +32,8 @@ from .le import (
     ideal_elements,
     is_intra_regular_poe,
     le_condition_holds,
+    le_condition_scan,
+    le_principal_condition_holds,
     least_element_oracle,
     order_glb,
     validate_le,
@@ -44,12 +46,14 @@ from .ordered import (
     OrderedSemigroup,
     classify_subset,
     condition_holds,
+    condition_scan,
     downward_closure,
     gen_ideal,
     ideal_masks,
     intra_regular_witness,
     is_intra_regular,
     least_ideal_oracle,
+    principal_condition_holds,
     set_product,
     subset_indices,
     subset_mask,

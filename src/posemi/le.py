@@ -4,8 +4,8 @@ In an ordered semigroup with greatest element e, ideal membership is carried
 by single elements: a is a right ideal element when ae <= a, a left ideal
 element when ea <= a, a bi-ideal element when aea <= a, and a quasi-ideal
 element when ae ^ ea exists in the order and lies below a.  On a lattice the
-generated right/left/quasi elements have closed forms built from joins:
-a v ae, a v ea and a v (ae ^ ea).
+generated right/left/bi/quasi elements have closed forms built from joins:
+a v ae, a v ea, a v aea and a v (ae ^ ea).
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import le_structure_id
-from .ordered import OrderedSemigroup, validate
+from .ordered import OrderedSemigroup, _check_condition_kind, validate
 from .report import VerificationReport
 
 ELEMENT_KINDS = ("right", "left", "bi", "quasi")
-ELEMENT_GENERATOR_KINDS = ("right", "left", "quasi")
+ELEMENT_GENERATOR_KINDS = ("right", "left", "bi", "quasi")
 
 
 def greatest(leq):
@@ -197,7 +197,8 @@ def ideal_elements(struct, kind):
 
 
 def gen_element(L, a, kind):
-    """Least kind-ideal element above a: a v ae, a v ea or a v (ae ^ ea)."""
+    """Least kind-ideal element above a: a v ae, a v ea, a v aea or
+    a v (ae ^ ea)."""
     if not isinstance(L, LeSemigroup):
         raise TypeError("gen_element requires a LeSemigroup")
     if not 0 <= a < L.n:
@@ -209,6 +210,8 @@ def gen_element(L, a, kind):
         return J[a][t[a][e]]
     if kind == "left":
         return J[a][t[e][a]]
+    if kind == "bi":
+        return J[a][t[t[a][e]][a]]
     return J[a][M[t[a][e]][t[e][a]]]
 
 
@@ -252,17 +255,36 @@ class ElementWitness:
     y: int
 
 
-def le_condition_holds(L, kind):
+def le_principal_condition_holds(L, kind):
+    """True iff every a satisfies a <= l(a)*m(a)*r(a), where r, m and l are
+    the generated right, kind- and left ideal elements (`gen_element`).
+
+    This is equivalent to the all-triples condition of `le_condition_holds`:
+    a = x ^ m ^ y has r(a) <= x, m(a) <= m and l(a) <= y, so
+    a <= l(a)*m(a)*r(a) <= y*m*x; and each principal triple is one of the
+    triples.
+    """
+    if not isinstance(L, LeSemigroup):
+        raise TypeError("le_principal_condition_holds requires a LeSemigroup")
+    _check_condition_kind(kind)
+    t = L.table
+    for a in range(L.n):
+        lm = t[gen_element(L, a, "left")][gen_element(L, a, kind)]
+        if not L.leq[a][t[lm][gen_element(L, a, "right")]]:
+            return False
+    return True
+
+
+def le_condition_scan(L, kind):
     """Check x ^ m ^ y <= y*m*x for all right ideal elements x, kind
-    elements m and left ideal elements y.
+    elements m and left ideal elements y, by scanning every triple.
 
     Returns True, or the first failing ElementWitness scanning x, m and y
     each from the highest index down.
     """
     if not isinstance(L, LeSemigroup):
-        raise TypeError("le_condition_holds requires a LeSemigroup")
-    if kind not in ("bi", "quasi"):
-        raise ValueError(f"condition kind must be 'bi' or 'quasi', got {kind!r}")
+        raise TypeError("le_condition_scan requires a LeSemigroup")
+    _check_condition_kind(kind)
     t, M = L.table, L.meet
     rights = ideal_elements(L, "right")
     mids = ideal_elements(L, kind)
@@ -274,6 +296,22 @@ def le_condition_holds(L, kind):
                 if not L.leq[M[xm][y]][t[t[y][m]][x]]:
                     return ElementWitness(x=x, m=m, y=y)
     return True
+
+
+def le_condition_holds(L, kind):
+    """Check x ^ m ^ y <= y*m*x for all right ideal elements x, kind
+    elements m and left ideal elements y.
+
+    The principal check (`le_principal_condition_holds`) answers first.
+    Only when it fails does `le_condition_scan` run, to find the witness:
+    the first failing triple scanning x, m and y each from the highest index
+    down.
+    """
+    if not isinstance(L, LeSemigroup):
+        raise TypeError("le_condition_holds requires a LeSemigroup")
+    if le_principal_condition_holds(L, kind):
+        return True
+    return le_condition_scan(L, kind)
 
 
 def verify_theorem2(L):

@@ -25,7 +25,8 @@ from .report import VerificationReport
 SUBSET_ENUM_CAP = 12
 
 IDEAL_KINDS = ("left", "right", "quasi", "bi")
-GENERATOR_KINDS = ("left", "right", "quasi")
+GENERATOR_KINDS = ("left", "right", "quasi", "bi")
+CONDITION_KINDS = ("bi", "quasi")
 
 
 class OrderedSemigroup:
@@ -84,12 +85,10 @@ def subset_mask(indices, n):
 def subset_indices(mask):
     """Sorted list of carrier indices in a bitmask."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -158,9 +157,10 @@ def set_product(s, a_mask, b_mask):
     _check_mask(s, b_mask)
     out = 0
     table = s.table
+    bs = subset_indices(b_mask)
     for i in subset_indices(a_mask):
         row = table[i]
-        for j in subset_indices(b_mask):
+        for j in bs:
             out |= 1 << row[j]
     return out
 
@@ -197,7 +197,8 @@ def gen_ideal(s, x_mask, kind):
     """Ideal of the given kind generated by the nonempty subset X.
 
     Closed forms: right -> (X u XS]; left -> (X u SX];
-    quasi -> (X u ((XS] n (SX])].
+    quasi -> (X u ((XS] n (SX])]; bi -> (X u XSX].  The bi form has no X^2
+    term because a bi-ideal here need not be closed under products.
     """
     _check_mask(s, x_mask)
     if not x_mask:
@@ -209,6 +210,8 @@ def gen_ideal(s, x_mask, kind):
         core = set_product(s, x_mask, full)
     elif kind == "left":
         core = set_product(s, full, x_mask)
+    elif kind == "bi":
+        core = set_product(s, set_product(s, x_mask, full), x_mask)
     else:
         core = downward_closure(s, set_product(s, x_mask, full)) & downward_closure(
             s, set_product(s, full, x_mask)
@@ -295,15 +298,41 @@ class ConditionWitness:
     violating_element: int
 
 
-def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
+def _check_condition_kind(kind):
+    if kind not in CONDITION_KINDS:
+        raise ValueError(f"condition kind must be 'bi' or 'quasi', got {kind!r}")
+
+
+def principal_condition_holds(s, kind):
+    """True iff every element t lies in (L(t) M(t) R(t)], where R(t), M(t)
+    and L(t) are the right, kind- and left ideals generated by t.
+
+    This is equivalent to the all-triples condition of `condition_holds`:
+    if t is in X n M n Y then R(t) <= X, M(t) <= M and L(t) <= Y, so
+    (L(t) M(t) R(t)] <= (Y M X]; and each principal triple is one of the
+    triples.  It needs n generator calls per kind and no ideal family.
+    """
+    _check_condition_kind(kind)
+    for t in range(s.n):
+        x = 1 << t
+        lmr = set_product(
+            s,
+            set_product(s, gen_ideal(s, x, "left"), gen_ideal(s, x, kind)),
+            gen_ideal(s, x, "right"),
+        )
+        if not downward_closure(s, lmr) & x:
+            return False
+    return True
+
+
+def condition_scan(s, kind, cap=SUBSET_ENUM_CAP):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
-    left ideals Y.
+    left ideals Y, by scanning every triple of the ideal families.
 
     Returns True, or the first ConditionWitness in ascending bitmask order of
     the triple (X, M, Y), with the least violating element.
     """
-    if kind not in ("bi", "quasi"):
-        raise ValueError(f"condition kind must be 'bi' or 'quasi', got {kind!r}")
+    _check_condition_kind(kind)
     rights = ideal_masks(s, "right", cap=cap)
     mids = ideal_masks(s, kind, cap=cap)
     lefts = ideal_masks(s, "left", cap=cap)
@@ -322,6 +351,21 @@ def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
                     elem = (bad & -bad).bit_length() - 1
                     return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
     return True
+
+
+def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
+    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
+    left ideals Y.
+
+    The principal check (`principal_condition_holds`) answers first.  Only
+    when it fails does `condition_scan` run, to find the witness: the first
+    failing triple in ascending bitmask order of (X, M, Y), with the least
+    violating element.  `cap` bounds that scan's subset enumeration and is
+    not consulted when the condition holds.
+    """
+    if principal_condition_holds(s, kind):
+        return True
+    return condition_scan(s, kind, cap=cap)
 
 
 def verify_theorem1(s, cap=SUBSET_ENUM_CAP):

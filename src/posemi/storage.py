@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .le import LeSemigroup, PoeSemigroup, validate_le
+from .le import LeSemigroup, PoeSemigroup, greatest, validate_le
 from .ordered import OrderedSemigroup, validate
 
 KINDS = ("ordered_semigroup", "poe_semigroup", "le_semigroup")
@@ -134,12 +134,13 @@ def from_payload(obj):
         structure = OrderedSemigroup(table, leq)
         violations = validate(structure)
         if kind == "poe_semigroup" and not violations:
-            # a valid order has at most one greatest element; PoeSemigroup
-            # derives it, so no greatest-element check remains
-            try:
-                structure = PoeSemigroup(table, leq)
-            except ValueError as exc:
-                raise StructureFileError(str(exc)) from None
+            # poe files carry no top field: the order must have one
+            top = greatest(structure.leq)
+            if top is None:
+                raise StructureFileError(
+                    "poe_semigroup order has no unique greatest element"
+                )
+            structure = PoeSemigroup(table, leq, top)
     if violations:
         _fail_violations(violations)
     return Loaded(kind=kind, structure=structure, names=names)

@@ -73,16 +73,16 @@ def test_criterion_3_generator_oracle_equivalence(ordered_universe_4, le_univers
     failures = []
     for s in ordered_universe_4:
         for x in nonempty_masks(s):
-            for kind in ("left", "right", "quasi"):
+            for kind in ("left", "right", "quasi", "bi"):
                 if gen_ideal(s, x, kind) != least_ideal_oracle(s, x, kind):
                     failures.append((verify_theorem1(s).structure_id, x, kind))
-    checked = sum(s.full * 3 for s in ordered_universe_4)
+    checked = sum(s.full * 4 for s in ordered_universe_4)
     for L in le_universe_4:
         for a in range(L.n):
-            for kind in ("left", "right", "quasi"):
+            for kind in ("left", "right", "quasi", "bi"):
                 if gen_element(L, a, kind) != least_element_oracle(L, a, kind):
                     failures.append((verify_theorem2(L).structure_id, a, kind))
-    checked += sum(L.n * 3 for L in le_universe_4)
+    checked += sum(L.n * 4 for L in le_universe_4)
     report("criterion 3: generators equal oracles", failures, f"{checked} cases")
 
 

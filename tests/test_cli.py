@@ -343,6 +343,28 @@ class TestErrorPaths:
         assert code == 1
         assert "associativity" in err
 
+    def test_poe_file_without_greatest_element(self, capsys, tmp_path):
+        path = tmp_path / "poe.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "poe_semigroup",
+                    "order": 2,
+                    "table": [[0, 0], [1, 1]],
+                    "leq": [],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, ["classify", "--file", str(path), "--element", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {path}: poe_semigroup order has no unique greatest element\n"
+        )
+
     def test_element_generation_needs_lattice(self, capsys):
         code, _, err = run(
             capsys, ["generate", "--file", N2, "--element", "a", "--kind", "quasi"]

@@ -163,7 +163,7 @@ class TestGenElement:
 
     def test_rejects_bi(self, l3null):
         with pytest.raises(ValueError):
-            gen_element(l3null, 0, "bi")
+            gen_element(l3null, 0, "two-sided")
 
 
 class TestLeastElementOracle:
@@ -179,7 +179,7 @@ class TestLeastElementOracle:
     def test_matches_generator(self, le_universe_3):
         for L in le_universe_3:
             for a in range(L.n):
-                for kind in ("left", "right", "quasi"):
+                for kind in ("left", "right", "quasi", "bi"):
                     assert gen_element(L, a, kind) == least_element_oracle(L, a, kind)
 
 

@@ -133,7 +133,7 @@ class TestGenIdeal:
 
     def test_unknown_kind_rejected(self, n2):
         with pytest.raises(ValueError):
-            gen_ideal(n2, 0b01, "bi")
+            gen_ideal(n2, 0b01, "two-sided")
 
 
 class TestOracle:
@@ -285,7 +285,7 @@ class TestGeneratorSoundness:
     def test_matches_oracle_small(self, ordered_universe_3):
         for s in ordered_universe_3:
             for x in nonempty_masks(s):
-                for kind in ("left", "right", "quasi"):
+                for kind in ("left", "right", "quasi", "bi"):
                     assert gen_ideal(s, x, kind) == least_ideal_oracle(s, x, kind)
 
     def test_generator_proof_steps(self, ordered_universe_3):
