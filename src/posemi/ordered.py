@@ -219,6 +219,79 @@ def gen_ideal(s, x_mask, kind):
     return downward_closure(s, x_mask | core)
 
 
+def _union_tables(images):
+    """out[m] is the union of images[i] over the bits i of m, for every m
+    below 2 ** len(images)."""
+    out = [0]
+    for img in images:
+        out += [v | img for v in out]
+    return out
+
+
+def _ideal_families(s):
+    """The four ideal families in one pass over all 2^n subsets.
+
+    A subset X is a kind-ideal when the union of its closure (X] with the
+    kind's product set (SX, XS, (XS] n (SX] or XSX) lies inside X.  The
+    pass splits each mask into a low half L and a high half H and reads
+    those sets from tables on the halves, so every subset costs a handful
+    of lookups and the pass takes time set by n alone.  (X], SX, XS, (XS]
+    and (SX] are unions over the elements of X.  (X] u XSX is that set on L,
+    on H, and iSj u jSi for i in L and j in H.  The flags agree with
+    `classify_subset`.
+    """
+    n, full, below = s.n, s.full, s.below
+    half = (n + 1) // 2
+    low, high = range(half), range(half, n)
+    i_s = [set_product(s, 1 << i, full) for i in range(n)]
+    s_i = [set_product(s, full, 1 << i) for i in range(n)]
+    isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
+    pair = [[below[i] | isj[i][j] | isj[j][i] for j in range(n)] for i in range(n)]
+
+    def halves(images):
+        return (
+            _union_tables([images[i] for i in low]),
+            _union_tables([images[i] for i in high]),
+        )
+
+    def bi_table(elems):
+        out = [0]
+        for k, i in enumerate(elems):
+            reach = _union_tables([pair[i][j] for j in elems[:k]])
+            out += [v | r | pair[i][i] for v, r in zip(out, reach)]
+        return out
+
+    down_lo, down_hi = halves(below)
+    left_lo, left_hi = halves([b | a for b, a in zip(below, s_i)])
+    right_lo, right_hi = halves([b | a for b, a in zip(below, i_s)])
+    dxs_lo, dxs_hi = halves([downward_closure(s, a) for a in i_s])
+    dsx_lo, dsx_hi = halves([downward_closure(s, a) for a in s_i])
+    bi_lo, bi_hi = bi_table(low), bi_table(high)
+    across = [_union_tables([pair[i][j] for j in high]) for i in low]
+
+    lists = {kind: [] for kind in IDEAL_KINDS}
+    left, right, quasi, bi = (lists[k] for k in ("left", "right", "quasi", "bi"))
+    for h in range(1 << len(high)):
+        base = h << half
+        left_h, right_h, bi_h = left_hi[h], right_hi[h], bi_hi[h]
+        dxs_h, dsx_h, down_h = dxs_hi[h], dsx_hi[h], down_hi[h]
+        cross = _union_tables([a[h] for a in across])
+        for lo in range(0 if h else 1, 1 << half):
+            m = base | lo
+            out = full ^ m
+            if not (left_h | left_lo[lo]) & out:
+                left.append(m)
+            if not (right_h | right_lo[lo]) & out:
+                right.append(m)
+            if not (
+                (dxs_h | dxs_lo[lo]) & (dsx_h | dsx_lo[lo]) | down_h | down_lo[lo]
+            ) & out:
+                quasi.append(m)
+            if not (bi_h | bi_lo[lo] | cross[lo]) & out:
+                bi.append(m)
+    return {kind: tuple(v) for kind, v in lists.items()}
+
+
 def ideal_masks(s, kind, cap=SUBSET_ENUM_CAP):
     """All ideals of one kind as bitmasks, ascending; cached per structure."""
     if kind not in IDEAL_KINDS:
@@ -228,22 +301,17 @@ def ideal_masks(s, kind, cap=SUBSET_ENUM_CAP):
             f"carrier size {s.n} exceeds the subset enumeration cap {cap}"
         )
     if not s._ideals:
-        lists = {k: [] for k in IDEAL_KINDS}
-        for m in range(1, s.full + 1):
-            flags = classify_subset(s, m)
-            for k in IDEAL_KINDS:
-                if getattr(flags, k):
-                    lists[k].append(m)
-        s._ideals.update({k: tuple(v) for k, v in lists.items()})
+        s._ideals.update(_ideal_families(s))
     return s._ideals[kind]
 
 
 def least_ideal_oracle(s, x_mask, kind, cap=SUBSET_ENUM_CAP):
     """Intersection of every kind-ideal containing X, by exhaustive scan.
 
-    Independent of the closed-form generators: it relies only on
-    classify_subset over all subsets.  The intersection is itself checked to
-    be a kind-ideal before being returned.
+    Independent of the closed-form generators: it relies only on the ideal
+    family (`ideal_masks`, which the tests hold to classify_subset over all
+    subsets).  The intersection is itself checked to be a kind-ideal by
+    classify_subset before being returned.
     """
     _check_mask(s, x_mask)
     if not x_mask:
@@ -303,6 +371,27 @@ def _check_condition_kind(kind):
         raise ValueError(f"condition kind must be 'bi' or 'quasi', got {kind!r}")
 
 
+def _principal_failures(s, kind):
+    """Mask of the elements t not in (L(t) M(t) R(t)], where R(t), M(t) and
+    L(t) are the right, kind- and left ideals generated by t.
+
+    Every element is checked, so the cost does not depend on where the
+    first failure lies.
+    """
+    _check_condition_kind(kind)
+    failing = 0
+    for t in range(s.n):
+        x = 1 << t
+        lmr = set_product(
+            s,
+            set_product(s, gen_ideal(s, x, "left"), gen_ideal(s, x, kind)),
+            gen_ideal(s, x, "right"),
+        )
+        if not downward_closure(s, lmr) & x:
+            failing |= x
+    return failing
+
+
 def principal_condition_holds(s, kind):
     """True iff every element t lies in (L(t) M(t) R(t)], where R(t), M(t)
     and L(t) are the right, kind- and left ideals generated by t.
@@ -312,33 +401,22 @@ def principal_condition_holds(s, kind):
     (L(t) M(t) R(t)] <= (Y M X]; and each principal triple is one of the
     triples.  It needs n generator calls per kind and no ideal family.
     """
-    _check_condition_kind(kind)
-    for t in range(s.n):
-        x = 1 << t
-        lmr = set_product(
-            s,
-            set_product(s, gen_ideal(s, x, "left"), gen_ideal(s, x, kind)),
-            gen_ideal(s, x, "right"),
-        )
-        if not downward_closure(s, lmr) & x:
-            return False
-    return True
+    return not _principal_failures(s, kind)
 
 
-def condition_scan(s, kind, cap=SUBSET_ENUM_CAP):
-    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
-    left ideals Y, by scanning every triple of the ideal families.
-
-    Returns True, or the first ConditionWitness in ascending bitmask order of
-    the triple (X, M, Y), with the least violating element.
-    """
+def _scan(s, kind, cap, suspects):
+    """First failing triple in ascending bitmask order of (X, M, Y), or True;
+    triples whose X n M n Y misses `suspects` are passed over."""
     _check_condition_kind(kind)
     rights = ideal_masks(s, "right", cap=cap)
     mids = ideal_masks(s, kind, cap=cap)
     lefts = ideal_masks(s, "left", cap=cap)
     for x in rights:
+        x_sus = x & suspects
+        if not x_sus:
+            continue
         for m in mids:
-            xm = x & m
+            xm = x_sus & m
             if not xm:
                 continue
             for y in lefts:
@@ -353,19 +431,34 @@ def condition_scan(s, kind, cap=SUBSET_ENUM_CAP):
     return True
 
 
+def condition_scan(s, kind, cap=SUBSET_ENUM_CAP):
+    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
+    left ideals Y, by scanning every triple of the ideal families.
+
+    Returns True, or the first ConditionWitness in ascending bitmask order of
+    the triple (X, M, Y), with the least violating element.
+    """
+    return _scan(s, kind, cap, s.full)
+
+
 def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
     left ideals Y.
 
     The principal check (`principal_condition_holds`) answers first.  Only
-    when it fails does `condition_scan` run, to find the witness: the first
-    failing triple in ascending bitmask order of (X, M, Y), with the least
-    violating element.  `cap` bounds that scan's subset enumeration and is
-    not consulted when the condition holds.
+    when it fails does the triple scan of `condition_scan` run, to find the
+    witness: the first failing triple in ascending bitmask order of
+    (X, M, Y), with the least violating element.  A violating element t of
+    any triple fails the principal check too, since (L(t) M(t) R(t)] <=
+    (Y M X], so the scan passes over triples whose X n M n Y holds no
+    failing element and still finds the witness the full scan finds.
+    `cap` bounds that scan's subset enumeration and is not consulted when
+    the condition holds.
     """
-    if principal_condition_holds(s, kind):
+    failing = _principal_failures(s, kind)
+    if not failing:
         return True
-    return condition_scan(s, kind, cap=cap)
+    return _scan(s, kind, cap, failing)
 
 
 def verify_theorem1(s, cap=SUBSET_ENUM_CAP):

@@ -275,6 +275,15 @@ class TestIdealHierarchy:
             f = classify_subset(s, s.full)
             assert f.left and f.right and f.quasi and f.bi
 
+    def test_ideal_masks_match_classify_subset(self, ordered_universe_4):
+        for s in ordered_universe_4:
+            flags = [classify_subset(s, m) for m in nonempty_masks(s)]
+            for kind in ("left", "right", "quasi", "bi"):
+                expected = tuple(
+                    m for m, f in zip(nonempty_masks(s), flags) if getattr(f, kind)
+                )
+                assert ideal_masks(s, kind) == expected, (s.table, s.leq, kind)
+
     def test_ideal_masks_ascending_and_cached(self, n2):
         masks = ideal_masks(n2, "quasi")
         assert list(masks) == sorted(masks)

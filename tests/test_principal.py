@@ -4,7 +4,8 @@
 c2/c3 conditions from the ideals (elements) generated by single elements;
 `condition_scan` and `le_condition_scan` scan every ideal triple and are the
 oracle here.  `condition_holds` / `le_condition_holds` must return exactly
-what the scan returns, witness included.
+what the scan returns, witness included.  The ideal families the scans use
+are held to `classify_subset` on every subset of the direct products.
 """
 
 import itertools
@@ -13,8 +14,10 @@ import pytest
 
 from posemi import (
     OrderedSemigroup,
+    classify_subset,
     condition_holds,
     condition_scan,
+    ideal_masks,
     is_intra_regular,
     le_condition_holds,
     le_condition_scan,
@@ -101,6 +104,21 @@ def test_direct_products(products):
         c2 = condition_holds(s, "bi") is True
         c3 = condition_holds(s, "quasi") is True
         assert is_intra_regular(s) == c2 == c3
+
+
+def test_families_match_classify_subset(products):
+    # the 12-element product splits its masks into two 6-bit halves
+    ir2, non2 = _factors(2)
+    ir3, _ = _factors(3)
+    twelve = direct_product([ir2[0], non2[-1], ir3[-1]])
+    assert twelve.n == 12
+    for s in [*products, twelve]:
+        flags = [classify_subset(s, m) for m in range(1, s.full + 1)]
+        for kind in ("left", "right", "quasi", "bi"):
+            expected = tuple(
+                m for m, f in zip(range(1, s.full + 1), flags) if getattr(f, kind)
+            )
+            assert ideal_masks(s, kind) == expected, kind
 
 
 def test_bad_kind_rejected():
