@@ -9,6 +9,9 @@ The search compares each relabeling against the running least one cell by
 cell and stops at the first difference (`cmp_relabeled`), so a relabeled
 copy is built only when it is a new least; the enumeration's canonicity
 tests (`is_least`) use the same comparison against the structure itself.
+The table is always compared first, so canonical forms find the least
+relabeled table and the relabelings that reach it once per table, and
+minimize the order (or join and meet) over those relabelings alone.
 """
 
 from __future__ import annotations
@@ -103,34 +106,53 @@ def is_least(parts, perms):
     return all(_cmp_parts(parts, perm, pinv, mats) >= 0 for perm, pinv in perms)
 
 
-def _least_relabeling(parts):
-    """Least relabeling of the (matrix, values) parts, compared in order.
-    Each permutation is compared against the running best and only a new
-    best is built."""
-    n = len(parts[0][0])
+@lru_cache(maxsize=1)
+def _least_table(table):
+    """Least relabeling of an element-valued table, with every (perm,
+    inverse) that reaches it.  Ordered streams yield all orders of one table
+    in a row, so one cached table serves them all."""
+    n = len(table)
     _check_cap(n)
-    best = [mat for mat, _ in parts]
-    for perm, pinv in perms_with_inverse(n)[1:]:
-        if _cmp_parts(parts, perm, pinv, best) < 0:
+    perms = perms_with_inverse(n)
+    best = table
+    reach = [perms[0]]
+    for perm, pinv in perms[1:]:
+        cmp = cmp_relabeled(table, perm, pinv, best)
+        if cmp < 0:
+            best = relabel_table(table, perm)
+            reach = [(perm, pinv)]
+        elif cmp == 0:
+            reach.append((perm, pinv))
+    return best, tuple(reach)
+
+
+def _least_relabeling(table, rest):
+    """Least relabeling of table followed by the (matrix, values) parts of
+    rest, compared in that order.  Only the relabelings that take table to
+    its least form can win, so rest is minimized over those alone: each is
+    compared against the running best and only a new best is built."""
+    least, reach = _least_table(table)
+    best = None
+    for perm, pinv in reach:
+        if best is None or _cmp_parts(rest, perm, pinv, best) < 0:
             best = [
                 relabel_table(mat, perm) if values else relabel_relation(mat, perm)
-                for mat, values in parts
+                for mat, values in rest
             ]
-    return tuple(best)
+    return (least, *best)
 
 
 def canonical_ordered(table, leq):
     """Least relabeling of (table, leq); the table part is compared first."""
     table = tuple(tuple(row) for row in table)
     leq = tuple(tuple(bool(v) for v in row) for row in leq)
-    return _least_relabeling(((table, True), (leq, False)))
+    return _least_relabeling(table, ((leq, False),))
 
 
 def canonical_le(table, join, meet):
     """Least relabeling of (table, join, meet), compared in that order."""
-    return _least_relabeling(
-        tuple((tuple(tuple(row) for row in mat), True) for mat in (table, join, meet))
-    )
+    table, join, meet = (tuple(map(tuple, mat)) for mat in (table, join, meet))
+    return _least_relabeling(table, ((join, True), (meet, True)))
 
 
 def _digest(payload):

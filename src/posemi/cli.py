@@ -280,34 +280,35 @@ def cmd_enumerate(args):
         order=args.order, dedup=dedup, limit=args.limit, shard=args.shard
     )
 
-    def records():
+    def structures():
         if args.kind == "semigroup":
             discrete = [[i == j for j in range(args.order)] for i in range(args.order)]
             for t in enumeration.enumerate_semigroups(cfg):
-                s = ordered.OrderedSemigroup(t, discrete)
-                yield storage.to_payload(s), canon.ordered_structure_id(s.table, s.leq)
+                yield ordered.OrderedSemigroup(t, discrete)
         elif args.kind == "ordered":
-            for s in enumeration.enumerate_ordered_semigroups(cfg):
-                yield storage.to_payload(s), canon.ordered_structure_id(s.table, s.leq)
+            yield from enumeration.enumerate_ordered_semigroups(cfg)
         else:
-            for L in enumeration.enumerate_le_semigroups(cfg):
-                yield storage.to_payload(L), canon.le_structure_id(
-                    L.table, L.join, L.meet
-                )
+            yield from enumeration.enumerate_le_semigroups(cfg)
 
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         count = 0
-        for i, (payload, sid) in enumerate(records()):
+        for i, s in enumerate(structures()):
+            if args.kind == "le":
+                sid = canon.le_structure_id(s.table, s.join, s.meet)
+            else:
+                sid = canon.ordered_structure_id(s.table, s.leq)
             path = outdir / f"{i:06d}-{sid}.json"
             path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                json.dumps(storage.to_payload(s), indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
             )
             count += 1
         print(f"# wrote={count} dir={outdir}")
     else:
-        for payload, _ in records():
+        for s in structures():
+            payload = storage.to_payload(s)
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return 0
 

@@ -12,7 +12,12 @@ structure, independent of sharding.
 
 Deduplication keeps exactly the structures that equal their own canonical
 relabeling, so the up_to_iso stream is the set of canonical forms of the raw
-stream, one representative per isomorphism class.
+stream, one representative per isomorphism class.  The table part is
+deduplicated during the search by lex-leader pruning: every node keeps the
+relabelings that could still make its table row-major smaller, and cuts the
+subtree as soon as one of them does on the cells known so far.  Each leaf
+then comes with its automorphisms (the relabelings still live), and the
+order or lattice part is kept when none of them makes it smaller.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ def _check_order(n):
 
 
 def _finalize(stream, cfg):
+    if cfg.limit == 0:
+        return
     kept = 0
     for idx, item in enumerate(stream):
         if cfg.shard is not None and idx % cfg.shard[1] != cfg.shard[0]:
@@ -91,17 +98,35 @@ def _finalize(stream, cfg):
             return
 
 
-def _fill(n, hook=None):
+def _fill(n, hook=None, perms=()):
     """Associative n x n tables, ascending in row-major order, whose every
-    cell passes hook(table, i, j) when it is set (later cells still -1).
+    cell passes hook(table, i, j) when it is set (later cells still -1), each
+    yielded as (table, automorphisms).
 
     Each associativity triple (a, b, c) is checked as soon as the last of its
     cells is set, whichever of them that is, so no dead subtree outlives the
     cell that kills it and no leaf check is needed.
+
+    perms, (perm, inverse) pairs, makes the search keep only the tables that
+    no perm relabels to a row-major smaller table (lex-leader pruning).  Each
+    node keeps the perms still live, each with the first cell at which its
+    relabeled partial table is not yet known to equal the table.  After a
+    cell is set, every live perm resumes its comparison there and stops at
+    the first cell unset on either side: a smaller relabeled cell prunes the
+    subtree, a larger one drops the perm for the subtree.  At a leaf every
+    cell is known, so the perms still live are the table's automorphisms
+    among perms.
     """
     rng = range(n)
+    size = n * n
     table = [[-1] * n for _ in rng]
+    cells = [-1] * size  # table in row-major order, for the comparisons
     preimage = [[] for _ in rng]  # preimage[v]: set cells (a, b) with ab = v
+    # relabeled cell k is perm[cells[src[k]]]
+    live0 = [
+        (0, perm, (perm, pinv), [pinv[r] * n + pinv[c] for r in rng for c in rng])
+        for perm, pinv in perms
+    ]
 
     def consistent(i, j, v):
         row_i = table[i]
@@ -136,26 +161,60 @@ def _fill(n, hook=None):
                     return False
         return True
 
-    def fill(k):
-        if k == n * n:
-            yield tuple(tuple(row) for row in table)
+    def still_live(live, k):
+        """The live perms once cells 0..k are set, or None when one of them
+        relabels the table to a smaller one."""
+        out = []
+        for f, perm, pair, src in live:
+            while f <= k:
+                x = cells[src[f]]
+                if x < 0:
+                    out.append((f, perm, pair, src))
+                    break
+                x = perm[x]
+                y = cells[f]
+                if x < y:
+                    return None
+                if x > y:
+                    break
+                f += 1
+            else:
+                out.append((f, perm, pair, src))
+        return out
+
+    def fill(k, live):
+        if k == size:
+            yield tuple(tuple(row) for row in table), [e[2] for e in live]
             return
         i, j = divmod(k, n)
         row = table[i]
         for v in rng:
             row[j] = v
+            cells[k] = v
             if consistent(i, j, v) and (hook is None or hook(table, i, j)):
-                preimage[v].append((i, j))
-                yield from fill(k + 1)
-                preimage[v].pop()
+                sub = still_live(live, k) if live else live
+                if sub is not None:
+                    preimage[v].append((i, j))
+                    yield from fill(k + 1, sub)
+                    preimage[v].pop()
         row[j] = -1
+        cells[k] = -1
 
-    return fill(0)
+    return fill(0, live0)
 
 
 def associative_tables(n):
     """Yield every associative n x n table, ascending in row-major order."""
-    return _fill(n)
+    return (table for table, _ in _fill(n))
+
+
+def _semigroup_tables(n, dedup):
+    """(table, automorphisms) for the tables of the dedup mode; up_to_iso
+    keeps the tables no relabeling makes smaller, with their non-identity
+    automorphisms."""
+    if dedup == "up_to_iso":
+        return _fill(n, perms=canon.perms_with_inverse(n)[1:])
+    return ((table, ()) for table in associative_tables(n))
 
 
 def enumerate_semigroups(cfg):
@@ -165,17 +224,8 @@ def enumerate_semigroups(cfg):
     relabeling: one representative per isomorphism class.
     """
     _check_order(cfg.order)
-
-    def stream():
-        if cfg.dedup == "up_to_iso":
-            perms = canon.perms_with_inverse(cfg.order)[1:]
-            for table in associative_tables(cfg.order):
-                if canon.is_least(((table, True),), perms):
-                    yield table
-        else:
-            yield from associative_tables(cfg.order)
-
-    return _finalize(stream(), cfg)
+    tables = _semigroup_tables(cfg.order, cfg.dedup)
+    return _finalize((table for table, _ in tables), cfg)
 
 
 @lru_cache(maxsize=None)
@@ -248,29 +298,16 @@ def enumerate_ordered_semigroups(cfg):
     paired with every compatible partial order.
 
     dedup="up_to_iso" keeps canonical (table, order) pairs: the table part
-    must itself be canonical, and only table automorphisms can then relabel
-    the pair without disturbing it, so the order part is kept when it is
-    minimal under those automorphisms.
+    must itself be canonical, and only table automorphisms, which the search
+    yields with the table, can then relabel the pair without disturbing it,
+    so the order part is kept when it is minimal under those automorphisms.
     """
     _check_order(cfg.order)
-    n = cfg.order
-    base = EnumerationConfig(order=n, dedup=cfg.dedup)
 
     def stream():
-        if cfg.dedup == "up_to_iso":
-            perms = canon.perms_with_inverse(n)
-            for table in enumerate_semigroups(base):
-                auts = [
-                    (p, pi)
-                    for p, pi in perms[1:]
-                    if canon.cmp_relabeled(table, p, pi, table) == 0
-                ]
-                for leq in enumerate_compatible_orders(table):
-                    if not auts or canon.is_least(((leq, False),), auts):
-                        yield OrderedSemigroup(table, leq)
-        else:
-            for table in enumerate_semigroups(base):
-                for leq in enumerate_compatible_orders(table):
+        for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
+            for leq in enumerate_compatible_orders(table):
+                if canon.is_least(((leq, False),), auts):
                     yield OrderedSemigroup(table, leq)
 
     return _finalize(stream(), cfg)
@@ -341,18 +378,19 @@ def _join_distributive(join, n):
 
 def enumerate_le_semigroups(cfg):
     """Lattice-ordered semigroups of the configured order, ascending by
-    (lattice, multiplication); dedup keeps canonical representatives."""
+    (lattice, multiplication); dedup keeps canonical representatives.
+
+    The canonical form compares the table first, so the search prunes on
+    the table alone and (join, meet) is then minimized over the table's
+    automorphisms."""
     _check_order(cfg.order)
     n = cfg.order
 
     def stream():
-        perms = canon.perms_with_inverse(n)[1:]
+        perms = canon.perms_with_inverse(n)[1:] if cfg.dedup == "up_to_iso" else ()
         for leq, join, meet, top in all_lattices(n):
-            for table in _fill(n, _join_distributive(join, n)):
-                if cfg.dedup == "up_to_iso" and not canon.is_least(
-                    ((table, True), (join, True), (meet, True)), perms
-                ):
-                    continue
-                yield LeSemigroup(table, join, meet, top=top)
+            for table, auts in _fill(n, _join_distributive(join, n), perms):
+                if canon.is_least(((join, True), (meet, True)), auts):
+                    yield LeSemigroup(table, join, meet, top=top)
 
     return _finalize(stream(), cfg)

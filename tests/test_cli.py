@@ -303,6 +303,12 @@ class TestEnumerateCommand:
         )
         assert len(out.strip().split("\n")) == 3
 
+    def test_limit_zero_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys, ["enumerate", "--kind", "semigroup", "--order", "2", "--limit", "0"]
+        )
+        assert (code, out, err) == (0, "", "")
+
     def test_order_cap_error(self, capsys):
         code, _, err = run(capsys, ["enumerate", "--kind", "semigroup", "--order", "8"])
         assert code == 1

@@ -17,9 +17,16 @@ from posemi import (
     validate,
     validate_le,
 )
-from posemi.canon import relabel_relation, relabel_table
+from posemi.canon import (
+    cmp_relabeled,
+    is_least,
+    perms_with_inverse,
+    relabel_relation,
+    relabel_table,
+)
 from posemi.enumeration import (
     EnumerationConfig,
+    _fill,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
@@ -100,6 +107,8 @@ class TestSemigroupEnumeration:
     def test_golden_counts(self):
         counts = golden_counts()["semigroups"]
         for n, expected in counts["raw"].items():
+            if int(n) > 4:
+                continue  # order 5 by orbit-stabilizer, in TestSymmetryBreaking
             got = sum(1 for _ in enumerate_semigroups(EnumerationConfig(order=int(n))))
             assert got == expected
         for n, expected in counts["iso"].items():
@@ -268,6 +277,65 @@ class TestLeEnumeration:
         assert {(L.table, L.join, L.meet) for L in iso} == expected
 
 
+class TestSymmetryBreaking:
+    """Lex-leader pruning in the search against filtering the raw stream
+    with canon.is_least over every relabeling."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_semigroups_match_filtered_raw(self, n):
+        perms = perms_with_inverse(n)[1:]
+        expected = [
+            t
+            for t in enumerate_semigroups(EnumerationConfig(order=n))
+            if is_least(((t, True),), perms)
+        ]
+        got = enumerate_semigroups(EnumerationConfig(order=n, dedup="up_to_iso"))
+        assert list(got) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ordered_match_filtered_raw(self, n):
+        perms = perms_with_inverse(n)[1:]
+        expected = [
+            (s.table, s.leq)
+            for s in enumerate_ordered_semigroups(EnumerationConfig(order=n))
+            if is_least(((s.table, True), (s.leq, False)), perms)
+        ]
+        cfg = EnumerationConfig(order=n, dedup="up_to_iso")
+        got = enumerate_ordered_semigroups(cfg)
+        assert [(s.table, s.leq) for s in got] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_le_match_filtered_raw(self, n):
+        perms = perms_with_inverse(n)[1:]
+        expected = [
+            (L.table, L.join, L.meet)
+            for L in enumerate_le_semigroups(EnumerationConfig(order=n))
+            if is_least(((L.table, True), (L.join, True), (L.meet, True)), perms)
+        ]
+        got = enumerate_le_semigroups(EnumerationConfig(order=n, dedup="up_to_iso"))
+        assert [(L.table, L.join, L.meet) for L in got] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_automorphisms_are_the_stabilizer(self, n):
+        perms = perms_with_inverse(n)[1:]
+        for t, auts in _fill(n, perms=perms):
+            stabilizer = [
+                (p, pinv) for p, pinv in perms if cmp_relabeled(t, p, pinv, t) == 0
+            ]
+            assert auts == stabilizer
+
+    def test_order_five_counts_by_orbit_stabilizer(self):
+        # each class of the iso stream holds 5!/|Aut(T)| labeled tables, so
+        # the raw count follows without walking the 183,732 labeled tables
+        counts = golden_counts()["semigroups"]
+        labeled = classes = 0
+        for _, auts in _fill(5, perms=perms_with_inverse(5)[1:]):
+            classes += 1
+            labeled += 120 // (len(auts) + 1)
+        assert classes == counts["iso"]["5"]
+        assert labeled == counts["raw"]["5"]
+
+
 class TestCanonicalize:
     def test_idempotent(self):
         for s in enumerate_ordered_semigroups(EnumerationConfig(order=3, limit=50)):
@@ -322,6 +390,14 @@ class TestShardingAndLimit:
         merged = [self._key(item) for piece in pieces for item in piece]
         assert sorted(merged) == sorted(self._key(item) for item in whole)
         assert len(set(merged)) == len(merged)
+
+    @pytest.mark.parametrize(
+        "maker",
+        [enumerate_semigroups, enumerate_ordered_semigroups, enumerate_le_semigroups],
+    )
+    @pytest.mark.parametrize("dedup", ["none", "up_to_iso"])
+    def test_limit_zero_yields_nothing(self, maker, dedup):
+        assert list(maker(EnumerationConfig(order=2, dedup=dedup, limit=0))) == []
 
     def test_limit_truncates(self):
         whole = list(enumerate_semigroups(EnumerationConfig(order=3)))
