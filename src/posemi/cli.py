@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import canon, enumeration, le, ordered, storage
@@ -98,34 +100,34 @@ def _report_line(report):
     )
 
 
-def _campaign(scope, max_order, dedup, shard):
-    """Yield (line, ok) per structure of the enumerated universe."""
+def _structures(scope, max_order, dedup):
+    """The structures a campaign checks, in stream order; remark keeps the
+    ordered semigroups with a greatest element."""
     dedup_mode = "up_to_iso" if dedup == "iso" else "none"
-    idx = 0
     for n in range(1, max_order + 1):
         cfg = enumeration.EnumerationConfig(order=n, dedup=dedup_mode)
         if scope == "theorem2":
-            for L in enumeration.enumerate_le_semigroups(cfg):
-                if shard is None or idx % shard[1] == shard[0]:
-                    report = le.verify_theorem2(L)
-                    yield _report_line(report), report.equivalence_ok
-                idx += 1
-        elif scope == "theorem1":
-            for s in enumeration.enumerate_ordered_semigroups(cfg):
-                if shard is None or idx % shard[1] == shard[0]:
-                    report = ordered.verify_theorem1(s)
-                    yield _report_line(report), report.equivalence_ok
-                idx += 1
+            yield from enumeration.enumerate_le_semigroups(cfg)
         else:
             for s in enumeration.enumerate_ordered_semigroups(cfg):
-                top = le.greatest(s.leq)
-                if top is None:
-                    continue
-                if shard is None or idx % shard[1] == shard[0]:
-                    poe = le.PoeSemigroup(s.table, s.leq, top=top)
-                    ok = le.check_remark(poe) is True
-                    yield _remark_line(poe, ok), ok
-                idx += 1
+                if scope == "theorem1" or le.greatest(s.leq) is not None:
+                    yield s
+
+
+def _campaign(scope, max_order, dedup, shard):
+    """Yield (line, ok) per structure of the enumerated universe."""
+    start, step = shard or (0, 1)
+    for s in islice(_structures(scope, max_order, dedup), start, None, step):
+        if scope == "remark":
+            poe = le.PoeSemigroup(s.table, s.leq)
+            ok = le.check_remark(poe) is True
+            yield _remark_line(poe, ok), ok
+        elif scope == "theorem1":
+            report = ordered.verify_theorem1(s)
+            yield _report_line(report), report.equivalence_ok
+        else:
+            report = le.verify_theorem2(s)
+            yield _report_line(report), report.equivalence_ok
 
 
 def _remark_line(poe, ok):
@@ -323,11 +325,15 @@ def main(argv=None):
         "witness": cmd_witness,
     }
     try:
-        return handlers[args.command](args)
-    except storage.StructureFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except ValueError as exc:
+    except (storage.StructureFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

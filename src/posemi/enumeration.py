@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from . import canon
 from .le import LeSemigroup
@@ -86,16 +87,9 @@ def _check_order(n):
 
 
 def _finalize(stream, cfg):
-    if cfg.limit == 0:
-        return
-    kept = 0
-    for idx, item in enumerate(stream):
-        if cfg.shard is not None and idx % cfg.shard[1] != cfg.shard[0]:
-            continue
-        yield item
-        kept += 1
-        if cfg.limit is not None and kept >= cfg.limit:
-            return
+    """The configured shard of the stream, cut after `limit` structures."""
+    start, step = cfg.shard or (0, 1)
+    return islice(islice(stream, start, None, step), cfg.limit)
 
 
 def _fill(n, hook=None, perms=()):

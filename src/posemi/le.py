@@ -17,7 +17,6 @@ from .ordered import OrderedSemigroup, _check_condition_kind, validate
 from .report import VerificationReport
 
 ELEMENT_KINDS = ("right", "left", "bi", "quasi")
-ELEMENT_GENERATOR_KINDS = ("right", "left", "bi", "quasi")
 
 
 def greatest(leq):
@@ -203,7 +202,7 @@ def gen_element(L, a, kind):
         raise TypeError("gen_element requires a LeSemigroup")
     if not 0 <= a < L.n:
         raise ValueError(f"element {a} out of range")
-    if kind not in ELEMENT_GENERATOR_KINDS:
+    if kind not in ELEMENT_KINDS:
         raise ValueError(f"unknown generator kind: {kind!r}")
     t, J, M, e = L.table, L.join, L.meet, L.top
     if kind == "right":
@@ -229,10 +228,8 @@ def least_element_oracle(L, a, kind):
     for cand in range(L.n):
         if L.leq[a][cand] and getattr(element_class(L, cand), kind):
             acc = L.meet[acc][cand]
-    if kind in ELEMENT_GENERATOR_KINDS:
-        flags = element_class(L, acc)
-        if not (L.leq[a][acc] and getattr(flags, kind)):
-            raise AssertionError(f"meet of {kind} elements above {a} lost the property")
+    if not (L.leq[a][acc] and getattr(element_class(L, acc), kind)):
+        raise AssertionError(f"meet of {kind} elements above {a} lost the property")
     return acc
 
 

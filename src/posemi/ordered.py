@@ -25,7 +25,6 @@ from .report import VerificationReport
 SUBSET_ENUM_CAP = 12
 
 IDEAL_KINDS = ("left", "right", "quasi", "bi")
-GENERATOR_KINDS = ("left", "right", "quasi", "bi")
 CONDITION_KINDS = ("bi", "quasi")
 
 
@@ -203,7 +202,7 @@ def gen_ideal(s, x_mask, kind):
     _check_mask(s, x_mask)
     if not x_mask:
         raise ValueError("generated ideals are defined for nonempty subsets only")
-    if kind not in GENERATOR_KINDS:
+    if kind not in IDEAL_KINDS:
         raise ValueError(f"unknown generator kind: {kind!r}")
     full = s.full
     if kind == "right":
@@ -292,20 +291,21 @@ def _ideal_families(s):
     return {kind: tuple(v) for kind, v in lists.items()}
 
 
-def ideal_masks(s, kind, cap=SUBSET_ENUM_CAP):
+def ideal_masks(s, kind):
     """All ideals of one kind as bitmasks, ascending; cached per structure."""
     if kind not in IDEAL_KINDS:
         raise ValueError(f"unknown ideal kind: {kind!r}")
-    if s.n > cap:
+    if s.n > SUBSET_ENUM_CAP:
         raise ValueError(
-            f"carrier size {s.n} exceeds the subset enumeration cap {cap}"
+            f"carrier size {s.n} exceeds the subset enumeration cap"
+            f" {SUBSET_ENUM_CAP}"
         )
     if not s._ideals:
         s._ideals.update(_ideal_families(s))
     return s._ideals[kind]
 
 
-def least_ideal_oracle(s, x_mask, kind, cap=SUBSET_ENUM_CAP):
+def least_ideal_oracle(s, x_mask, kind):
     """Intersection of every kind-ideal containing X, by exhaustive scan.
 
     Independent of the closed-form generators: it relies only on the ideal
@@ -316,10 +316,8 @@ def least_ideal_oracle(s, x_mask, kind, cap=SUBSET_ENUM_CAP):
     _check_mask(s, x_mask)
     if not x_mask:
         raise ValueError("generated ideals are defined for nonempty subsets only")
-    if kind not in IDEAL_KINDS:
-        raise ValueError(f"unknown ideal kind: {kind!r}")
     acc = s.full
-    for m in ideal_masks(s, kind, cap=cap):
+    for m in ideal_masks(s, kind):
         if m & x_mask == x_mask:
             acc &= m
     if not getattr(classify_subset(s, acc), kind):
@@ -371,25 +369,20 @@ def _check_condition_kind(kind):
         raise ValueError(f"condition kind must be 'bi' or 'quasi', got {kind!r}")
 
 
-def _principal_failures(s, kind):
-    """Mask of the elements t not in (L(t) M(t) R(t)], where R(t), M(t) and
-    L(t) are the right, kind- and left ideals generated by t.
-
-    Every element is checked, so the cost does not depend on where the
-    first failure lies.
-    """
+def _principal_triples(s, kind):
+    """(R(t), M(t), L(t)) for every element t: the right, kind- and left
+    ideals generated by t."""
     _check_condition_kind(kind)
-    failing = 0
-    for t in range(s.n):
-        x = 1 << t
-        lmr = set_product(
-            s,
-            set_product(s, gen_ideal(s, x, "left"), gen_ideal(s, x, kind)),
-            gen_ideal(s, x, "right"),
-        )
-        if not downward_closure(s, lmr) & x:
-            failing |= x
-    return failing
+    return [
+        tuple(gen_ideal(s, 1 << t, k) for k in ("right", kind, "left"))
+        for t in range(s.n)
+    ]
+
+
+def _outside(s, t, y, m, x):
+    """True iff element t is not in (Y M X]."""
+    ymx = downward_closure(s, set_product(s, set_product(s, y, m), x))
+    return not ymx >> t & 1
 
 
 def principal_condition_holds(s, kind):
@@ -401,22 +394,28 @@ def principal_condition_holds(s, kind):
     (L(t) M(t) R(t)] <= (Y M X]; and each principal triple is one of the
     triples.  It needs n generator calls per kind and no ideal family.
     """
-    return not _principal_failures(s, kind)
+    return not any(
+        _outside(s, t, l, m, r)
+        for t, (r, m, l) in enumerate(_principal_triples(s, kind))
+    )
 
 
-def _scan(s, kind, cap, suspects):
-    """First failing triple in ascending bitmask order of (X, M, Y), or True;
-    triples whose X n M n Y misses `suspects` are passed over."""
+def condition_scan(s, kind):
+    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
+    left ideals Y, by scanning every triple of the ideal families.
+
+    Returns True, or the first ConditionWitness in ascending bitmask order of
+    the triple (X, M, Y), with the least violating element.  This is the
+    oracle `condition_holds` is held to; like every family user it refuses
+    carriers above SUBSET_ENUM_CAP.
+    """
     _check_condition_kind(kind)
-    rights = ideal_masks(s, "right", cap=cap)
-    mids = ideal_masks(s, kind, cap=cap)
-    lefts = ideal_masks(s, "left", cap=cap)
+    rights = ideal_masks(s, "right")
+    mids = ideal_masks(s, kind)
+    lefts = ideal_masks(s, "left")
     for x in rights:
-        x_sus = x & suspects
-        if not x_sus:
-            continue
         for m in mids:
-            xm = x_sus & m
+            xm = x & m
             if not xm:
                 continue
             for y in lefts:
@@ -431,42 +430,40 @@ def _scan(s, kind, cap, suspects):
     return True
 
 
-def condition_scan(s, kind, cap=SUBSET_ENUM_CAP):
+def condition_holds(s, kind):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
-    left ideals Y, by scanning every triple of the ideal families.
+    left ideals Y, from the ideals R(t), M(t), L(t) generated by single
+    elements; no ideal family is built, so any carrier size is accepted.
 
-    Returns True, or the first ConditionWitness in ascending bitmask order of
-    the triple (X, M, Y), with the least violating element.
+    Returns True, or the witness `condition_scan` finds.  A violating t of
+    a triple has R(t) <= X, M(t) <= M and L(t) <= Y, so the first failing
+    triple is, step by step, the bitmask-least of these candidates:
+    X = R(t) with t not in (L(t) M(t) R(t)]; M = M(t) with t in X not in
+    (L(t) M(t) X]; Y = L(t) with t in X n M not in (L(t) M X].  By the same
+    inclusion every candidate t fails its principal check, so only those
+    elements are tried.
     """
-    return _scan(s, kind, cap, s.full)
-
-
-def condition_holds(s, kind, cap=SUBSET_ENUM_CAP):
-    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
-    left ideals Y.
-
-    The principal check (`principal_condition_holds`) answers first.  Only
-    when it fails does the triple scan of `condition_scan` run, to find the
-    witness: the first failing triple in ascending bitmask order of
-    (X, M, Y), with the least violating element.  A violating element t of
-    any triple fails the principal check too, since (L(t) M(t) R(t)] <=
-    (Y M X], so the scan passes over triples whose X n M n Y holds no
-    failing element and still finds the witness the full scan finds.
-    `cap` bounds that scan's subset enumeration and is not consulted when
-    the condition holds.
-    """
-    failing = _principal_failures(s, kind)
+    right, mid, left = zip(*_principal_triples(s, kind))
+    failing = [t for t in range(s.n) if _outside(s, t, left[t], mid[t], right[t])]
     if not failing:
         return True
-    return _scan(s, kind, cap, failing)
+    x = min(right[t] for t in failing)
+    m = min(
+        mid[t] for t in failing if x >> t & 1 and _outside(s, t, left[t], mid[t], x)
+    )
+    xm = x & m
+    y = min(left[t] for t in failing if xm >> t & 1 and _outside(s, t, left[t], m, x))
+    bad = xm & y & ~downward_closure(s, set_product(s, set_product(s, y, m), x))
+    elem = (bad & -bad).bit_length() - 1
+    return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
 
 
-def verify_theorem1(s, cap=SUBSET_ENUM_CAP):
+def verify_theorem1(s):
     """Check that intra-regularity and both ideal-triple conditions agree on
     one structure; failing conditions carry witnesses in the report."""
     return VerificationReport.of(
         ordered_structure_id(s.table, s.leq),
         is_intra_regular(s),
-        condition_holds(s, "bi", cap=cap),
-        condition_holds(s, "quasi", cap=cap),
+        condition_holds(s, "bi"),
+        condition_holds(s, "quasi"),
     )

@@ -2,9 +2,14 @@
 sharding, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posemi
 from posemi.cli import main
 
 from conftest import FIXTURES
@@ -382,3 +387,28 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["witness", "--file", N2, "--element", "q"])
         assert code == 1
         assert "unknown element" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--kind", "semigroup", "--order", "5", "--dedup", "iso"],
+        ["verify", "theorem1", "--max-order", "4", "--dedup", "iso"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # both streams outgrow the pipe buffer, so a write fails after the close
+    src = str(Path(posemi.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posemi.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

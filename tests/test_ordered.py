@@ -8,6 +8,7 @@ from posemi import (
     OrderedSemigroup,
     classify_subset,
     condition_holds,
+    condition_scan,
     downward_closure,
     gen_ideal,
     ideal_masks,
@@ -148,9 +149,20 @@ class TestOracle:
         for kind in ("left", "right", "quasi", "bi"):
             assert least_ideal_oracle(one, 0b1, kind) == 0b1
 
-    def test_cap_enforced(self, n2):
-        with pytest.raises(ValueError):
-            least_ideal_oracle(n2, 0b01, "quasi", cap=1)
+    def test_cap_enforced(self):
+        # 13 elements: one past SUBSET_ENUM_CAP; the left-zero band xy = x
+        n = 13
+        s = OrderedSemigroup(
+            [[i] * n for i in range(n)], [[i == j for j in range(n)] for i in range(n)]
+        )
+        with pytest.raises(ValueError, match="subset enumeration cap"):
+            ideal_masks(s, "bi")
+        with pytest.raises(ValueError, match="subset enumeration cap"):
+            least_ideal_oracle(s, 0b1, "quasi")
+        with pytest.raises(ValueError, match="subset enumeration cap"):
+            condition_scan(s, "bi")
+        # the principal-ideal path builds no family, so it has no cap
+        assert condition_holds(s, "bi") is True
 
 
 class TestIntraRegularity:

@@ -1,7 +1,8 @@
 """The principal-triple checks against the exhaustive triple scans.
 
 `principal_condition_holds` and `le_principal_condition_holds` answer the
-c2/c3 conditions from the ideals (elements) generated by single elements;
+c2/c3 conditions from the ideals (elements) generated by single elements,
+and `condition_holds` also builds its witness from them alone;
 `condition_scan` and `le_condition_scan` scan every ideal triple and are the
 oracle here.  `condition_holds` / `le_condition_holds` must return exactly
 what the scan returns, witness included.  The ideal families the scans use
@@ -24,8 +25,15 @@ from posemi import (
     le_principal_condition_holds,
     principal_condition_holds,
     validate,
+    verify_theorem1,
 )
-from posemi.enumeration import EnumerationConfig, enumerate_ordered_semigroups
+from posemi import canon, ordered
+from posemi.enumeration import (
+    EnumerationConfig,
+    _semigroup_tables,
+    enumerate_compatible_orders,
+    enumerate_ordered_semigroups,
+)
 
 from conftest import _le_universe, _ordered_universe, make_l3null, make_n2
 
@@ -64,6 +72,38 @@ def test_ordered_raw_order_3():
     for n in (1, 2, 3):
         for s in enumerate_ordered_semigroups(EnumerationConfig(order=n)):
             assert_ordered_agree(s)
+
+
+def test_ordered_iso_order_5_slice():
+    # the order-5 iso stream's structures on every 200th iso table
+    tables = itertools.islice(_semigroup_tables(5, "up_to_iso"), 0, None, 200)
+    count = 0
+    for table, auts in tables:
+        for leq in enumerate_compatible_orders(table):
+            if canon.is_least(((leq, False),), auts):
+                assert_ordered_agree(OrderedSemigroup(table, leq))
+                count += 1
+    assert count == 1563
+
+
+def test_no_family_needed(monkeypatch, ordered_universe_3):
+    # condition_holds and verify_theorem1 answer without any ideal family
+    expected = [
+        (condition_scan(s, "bi"), condition_scan(s, "quasi"))
+        for s in ordered_universe_3
+    ]
+
+    def refuse(s, kind):
+        raise AssertionError("ideal family requested")
+
+    monkeypatch.setattr(ordered, "ideal_masks", refuse)
+    failing = 0
+    for s, (c2, c3) in zip(ordered_universe_3, expected):
+        assert (condition_holds(s, "bi"), condition_holds(s, "quasi")) == (c2, c3)
+        report = verify_theorem1(s)
+        assert (report.c2, report.c3) == (c2 is True, c3 is True)
+        failing += c2 is not True
+    assert failing > 0
 
 
 def test_le_raw_order_4():
@@ -106,12 +146,22 @@ def test_direct_products(products):
         assert is_intra_regular(s) == c2 == c3
 
 
-def test_families_match_classify_subset(products):
-    # the 12-element product splits its masks into two 6-bit halves
+@pytest.fixture(scope="module")
+def twelve():
+    # splits its masks into two 6-bit halves in the family pass
     ir2, non2 = _factors(2)
     ir3, _ = _factors(3)
-    twelve = direct_product([ir2[0], non2[-1], ir3[-1]])
-    assert twelve.n == 12
+    s = direct_product([ir2[0], non2[-1], ir3[-1]])
+    assert s.n == 12
+    return s
+
+
+def test_twelve_element_product(twelve):
+    assert not is_intra_regular(twelve)
+    assert_ordered_agree(twelve)
+
+
+def test_families_match_classify_subset(products, twelve):
     for s in [*products, twelve]:
         flags = [classify_subset(s, m) for m in range(1, s.full + 1)]
         for kind in ("left", "right", "quasi", "bi"):
