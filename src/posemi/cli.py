@@ -33,6 +33,18 @@ def _parse_shard(text):
     return i, t
 
 
+def _at_least(least):
+    """argparse type: an integer no smaller than least."""
+
+    def parse(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="posemi",
@@ -43,10 +55,10 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="emit structure records")
     p.add_argument("--kind", required=True, choices=["semigroup", "ordered", "le"])
-    p.add_argument("--order", required=True, type=int)
+    p.add_argument("--order", required=True, type=_at_least(1))
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_at_least(0))
     p.add_argument("--out", metavar="DIR", help="write one file per structure")
 
     p = sub.add_parser("verify", help="run a verification campaign")

@@ -5,8 +5,8 @@ row-major order.  Its pruning is complete: every associativity triple is
 checked the moment its last cell is set, so a partial table survives only
 while all of its fully known triples hold and every leaf is associative.
 Join-distributive multiplications come from the same backtracker with a
-per-cell distributivity hook.  Partial orders are generated by their own
-backtracker, and lattices and compatible orders are filtered from them.
+per-cell distributivity hook.  Compatible orders come from a closure walk,
+which also gives all partial orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
 structure, independent of sharding.
 
@@ -222,69 +222,53 @@ def enumerate_semigroups(cfg):
     return _finalize((table for table, _ in tables), cfg)
 
 
+def _compatible_orders(table):
+    """Partial orders compatible with the table on both sides, ascending by
+    encoding.  Each is the transitive closure of the least compatible
+    preorders C(a, b), generated by (uav, ubv) for u, v in S^1, over its
+    pairs.  The walk decides the pairs in row-major order, first leaving a
+    pair out and then adding its C(a, b), and drops a branch that closes to
+    a 2-cycle or to a pair left out earlier."""
+    n = len(table)
+    rng = range(n)
+    lefts = {tuple(rng), *map(tuple, table)}  # x -> ux for u in S^1
+    maps = lefts | {tuple(table[x][v] for x in row) for row in lefts for v in rng}
+    pairs = [(a, b) for a in rng for b in rng if a != b]
+    gens = [{(m[a], m[b]) for m in maps if m[a] != m[b]} for a, b in pairs]
+    as_tuple = [tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n)]
+    stack = [(0, tuple(1 << i for i in rng))]  # bit j of rows[i]: i <= j
+    while stack:
+        k, rows = stack.pop()
+        while k < len(pairs) and rows[pairs[k][0]] >> pairs[k][1] & 1:
+            k += 1  # already held
+        if k == len(pairs):
+            yield tuple(as_tuple[r] for r in rows)
+            continue
+        closed = rows
+        for x, y in gens[k]:  # (x, y) adds the row of y to each row holding x
+            up = closed[y]
+            if up >> x & 1:
+                break  # y <= x already: a 2-cycle
+            if not closed[x] >> y & 1:
+                closed = tuple(r | up if r >> x & 1 else r for r in closed)
+        else:  # the pairs decided before (a, b) must be unchanged
+            a, b = pairs[k]
+            if closed[:a] == rows[:a] and not (closed[a] ^ rows[a]) & ((1 << b) - 1):
+                stack.append((k + 1, closed))
+        stack.append((k + 1, rows))
+
+
 @lru_cache(maxsize=None)
 def all_posets(n):
-    """Every partial order on n labeled points, ascending by encoding.
-
-    Each unordered pair is incomparable or related one way, which already
-    enforces antisymmetry; transitivity is checked on the complete relation.
-    """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    leq = [[i == j for j in range(n)] for i in range(n)]
-
-    def fill(k):
-        if k == len(pairs):
-            if _is_transitive(leq, n):
-                out.append(tuple(tuple(row) for row in leq))
-            return
-        i, j = pairs[k]
-        fill(k + 1)
-        leq[i][j] = True
-        fill(k + 1)
-        leq[i][j] = False
-        leq[j][i] = True
-        fill(k + 1)
-        leq[j][i] = False
-
-    fill(0)
-    out.sort()
-    return tuple(out)
-
-
-def _is_transitive(leq, n):
-    for i in range(n):
-        li = leq[i]
-        for j in range(n):
-            if li[j] and i != j:
-                lj = leq[j]
-                for k in range(n):
-                    if lj[k] and not li[k]:
-                        return False
-    return True
-
-
-def _compatible(table, leq, n):
-    for i in range(n):
-        li = leq[i]
-        for j in range(n):
-            if i != j and li[j]:
-                for k in range(n):
-                    tk = table[k]
-                    if not leq[tk[i]][tk[j]]:
-                        return False
-                    if not leq[table[i][k]][table[j][k]]:
-                        return False
-    return True
+    """Every partial order on n labeled points, ascending by encoding: the
+    compatible orders of the left-zero band xy = x, which all are."""
+    return tuple(_compatible_orders(tuple((x,) * n for x in range(n))))
 
 
 def enumerate_compatible_orders(table):
     """Partial orders compatible with an associative table on both sides,
-    ascending by encoding.  The discrete order is always among them."""
-    n = len(table)
-    for leq in all_posets(n):
-        if _compatible(table, leq, n):
-            yield leq
+    ascending by encoding, from the closure walk; the discrete one is first."""
+    return _compatible_orders(table)
 
 
 def enumerate_ordered_semigroups(cfg):

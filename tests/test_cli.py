@@ -314,6 +314,22 @@ class TestEnumerateCommand:
         )
         assert (code, out, err) == (0, "", "")
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["--order", "0"], "--order"),
+            (["--order", "-2"], "--order"),
+            (["--order", "2", "--limit", "-1"], "--limit"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--kind", "semigroup", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least" in captured.err
+
     def test_order_cap_error(self, capsys):
         code, _, err = run(capsys, ["enumerate", "--kind", "semigroup", "--order", "8"])
         assert code == 1

@@ -1,6 +1,8 @@
 """Enumeration: backtracking generators against generate-then-filter brute
-force, canonical-form deduplication, sharding, and the pinned golden counts."""
+force, compatible orders against the two-sided compatibility filter,
+canonical-form deduplication, sharding, and the pinned golden counts."""
 
+import functools
 import itertools
 import json
 
@@ -70,24 +72,46 @@ def is_associative(t, n):
     )
 
 
+def is_partial_order(m, n):
+    rng = range(n)
+    return (
+        all(m[i][i] for i in rng)
+        and not any(m[i][j] and m[j][i] for i in rng for j in rng if i != j)
+        and not any(
+            m[i][j] and m[j][k] and not m[i][k] for i in rng for j in rng for k in rng
+        )
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def brute_force_posets(n):
     """Generate all boolean matrices and keep the partial orders."""
     out = []
     for values in itertools.product((False, True), repeat=n * n):
         m = tuple(values[i * n : (i + 1) * n] for i in range(n))
-        if not all(m[i][i] for i in range(n)):
-            continue
-        if any(m[i][j] and m[j][i] for i in range(n) for j in range(n) if i != j):
-            continue
-        if any(
-            m[i][j] and m[j][k] and not m[i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ):
-            continue
-        out.append(m)
-    return out
+        if is_partial_order(m, n):
+            out.append(m)
+    return tuple(out)
+
+
+def compatible(table, leq, n):
+    """leq is compatible with the table on both sides."""
+    return all(
+        leq[table[k][i]][table[k][j]] and leq[table[i][k]][table[j][k]]
+        for i in range(n)
+        for j in range(n)
+        if leq[i][j]
+        for k in range(n)
+    )
+
+
+def filtered_orders(table):
+    """The compatible orders by filtering every partial order: brute force
+    up to order 4, all_posets(5) at order 5 (pinned by count, and each
+    element checked to be a partial order, in TestPosets)."""
+    n = len(table)
+    posets = sorted(brute_force_posets(n)) if n <= 4 else all_posets(n)
+    return [leq for leq in posets if compatible(table, leq, n)]
 
 
 class TestSemigroupEnumeration:
@@ -140,15 +164,18 @@ class TestSemigroupEnumeration:
 
 
 class TestPosets:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_brute_force(self, n):
-        assert set(all_posets(n)) == set(brute_force_posets(n))
+        assert list(all_posets(n)) == sorted(brute_force_posets(n))
 
     def test_golden_counts(self):
         for n, expected in golden_counts()["posets"].items():
-            if int(n) > 4:
-                continue  # n=5 pinned but slow; covered when order-5 runs
             assert len(all_posets(int(n))) == expected
+
+    def test_order_five_are_distinct_partial_orders(self):
+        posets = all_posets(5)
+        assert len(set(posets)) == len(posets)
+        assert all(is_partial_order(m, 5) for m in posets)
 
     def test_sorted_and_discrete_first(self):
         for n in (2, 3):
@@ -173,11 +200,29 @@ class TestCompatibleOrders:
             for table in enumerate_semigroups(EnumerationConfig(order=n)):
                 assert discrete in set(enumerate_compatible_orders(table))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EnumerationConfig(order=1),
+            EnumerationConfig(order=2),
+            EnumerationConfig(order=3),
+            EnumerationConfig(order=4, dedup="up_to_iso"),
+            # every 50th of the 1,915 iso tables
+            EnumerationConfig(order=5, dedup="up_to_iso", shard=(0, 50)),
+        ],
+        ids=["raw1", "raw2", "raw3", "iso4", "iso5-every-50th"],
+    )
+    def test_matches_filter(self, cfg):
+        for table in enumerate_semigroups(cfg):
+            assert list(enumerate_compatible_orders(table)) == filtered_orders(table)
+
 
 class TestOrderedEnumeration:
     def test_golden_counts(self):
         counts = golden_counts()["ordered_semigroups"]
         for n, expected in counts["raw"].items():
+            if int(n) > 3:
+                continue  # order 4 in test_raw_counts_from_order_counts
             got = sum(
                 1 for _ in enumerate_ordered_semigroups(EnumerationConfig(order=int(n)))
             )
@@ -190,6 +235,16 @@ class TestOrderedEnumeration:
                 for _ in enumerate_ordered_semigroups(
                     EnumerationConfig(order=int(n), dedup="up_to_iso")
                 )
+            )
+            assert got == expected
+
+    def test_raw_counts_from_order_counts(self):
+        # the raw stream pairs every table with every compatible order, so
+        # its length is the sum of the order counts (no structure is built)
+        for n, expected in golden_counts()["ordered_semigroups"]["raw"].items():
+            got = sum(
+                sum(1 for _ in enumerate_compatible_orders(t))
+                for t in associative_tables(int(n))
             )
             assert got == expected
 
