@@ -33,7 +33,6 @@ from .le import (
     is_intra_regular_poe,
     le_condition_holds,
     le_condition_scan,
-    le_principal_condition_holds,
     least_element_oracle,
     order_glb,
     validate_le,
@@ -53,7 +52,6 @@ from .ordered import (
     intra_regular_witness,
     is_intra_regular,
     least_ideal_oracle,
-    principal_condition_holds,
     set_product,
     subset_indices,
     subset_mask,

@@ -2,9 +2,12 @@
 and inspect single structure files.
 
 Campaign report streams are deterministic: one tab-separated line per
-structure (id, c1, c2, c3, ok) followed by a summary comment.  Exit status
-is nonzero exactly when a validation failure, an oracle discrepancy or an
-equivalence failure occurred.
+structure (id, c1, c2, c3, ok) followed by a summary comment.  One stream
+builder (`_stream`) feeds both `enumerate` and `verify`, and one per-scope
+check (`_check`) makes the line of every campaign structure and of `verify
+--file`; only the file path formats and prints the witness lines.  Exit
+status is nonzero exactly when a validation failure, an oracle discrepancy
+or an equivalence failure occurred; usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -96,75 +99,110 @@ def _parse_subset(loaded, text):
     return mask
 
 
-def _set_str(loaded, mask):
-    return "{" + ", ".join(loaded.label(i) for i in ordered.subset_indices(mask)) + "}"
+def _set_str(label, mask):
+    return "{" + ", ".join(label(i) for i in ordered.subset_indices(mask)) + "}"
 
 
-def _report_line(report):
-    return "\t".join(
-        [
-            report.structure_id,
-            _fmt_bool(report.c1),
-            _fmt_bool(report.c2),
-            _fmt_bool(report.c3),
-            _fmt_bool(report.equivalence_ok),
-        ]
-    )
+def _stream(kind, order, dedup, limit=None, shard=None):
+    """The enumerated structures of one kind and order: semigroups (with
+    the discrete order), ordered semigroups or le-semigroups."""
+    dedup = "up_to_iso" if dedup == "iso" else "none"
+    cfg = enumeration.EnumerationConfig(order, dedup, limit, shard)
+    if kind == "semigroup":
+        discrete = [[i == j for j in range(order)] for i in range(order)]
+        for t in enumeration.enumerate_semigroups(cfg):
+            yield ordered.OrderedSemigroup(t, discrete)
+    elif kind == "ordered":
+        yield from enumeration.enumerate_ordered_semigroups(cfg)
+    else:
+        yield from enumeration.enumerate_le_semigroups(cfg)
 
 
-def _structures(scope, max_order, dedup):
-    """The structures a campaign checks, in stream order; remark keeps the
-    ordered semigroups with a greatest element."""
-    dedup_mode = "up_to_iso" if dedup == "iso" else "none"
-    for n in range(1, max_order + 1):
-        cfg = enumeration.EnumerationConfig(order=n, dedup=dedup_mode)
-        if scope == "theorem2":
-            yield from enumeration.enumerate_le_semigroups(cfg)
-        else:
-            for s in enumeration.enumerate_ordered_semigroups(cfg):
-                if scope == "theorem1" or le.greatest(s.leq) is not None:
-                    yield s
+def _in_scope(scope, s):
+    """s as the scope checks it, or None when it does not apply: theorem1
+    takes any ordered semigroup, theorem2 a LeSemigroup, and remark a
+    PoeSemigroup, built here when s has a greatest element."""
+    if scope == "theorem1":
+        return s
+    if scope == "theorem2":
+        return s if isinstance(s, le.LeSemigroup) else None
+    if isinstance(s, le.PoeSemigroup):
+        return s
+    top = le.greatest(s.leq)
+    return None if top is None else le.PoeSemigroup(s.table, s.leq, top=top)
 
 
-def _campaign(scope, max_order, dedup, shard):
-    """Yield (line, ok) per structure of the enumerated universe."""
-    start, step = shard or (0, 1)
-    for s in islice(_structures(scope, max_order, dedup), start, None, step):
-        if scope == "remark":
-            poe = le.PoeSemigroup(s.table, s.leq)
-            ok = le.check_remark(poe) is True
-            yield _remark_line(poe, ok), ok
-        elif scope == "theorem1":
-            report = ordered.verify_theorem1(s)
-            yield _report_line(report), report.equivalence_ok
-        else:
-            report = le.verify_theorem2(s)
-            yield _report_line(report), report.equivalence_ok
+def _check(scope, s, label=str):
+    """(line, ok, witness lines) for one structure of the scope: the line
+    is `id c1 c2 c3 ok`, with `-` for c3 in the remark scope.  The witness
+    lines are a generator, formatted (elements named by label) only when
+    iterated."""
+    if scope == "remark":
+        res = le.check_remark(s)
+        ok = res is True
+        sid = canon.ordered_structure_id(s.table, s.leq)
+        flags = [_fmt_bool(le.is_intra_regular_poe(s)), _fmt_bool(ok), "-"]
+        found = () if ok else (("remark", res),)
+    else:
+        verify = ordered.verify_theorem1 if scope == "theorem1" else le.verify_theorem2
+        report = verify(s)
+        sid, ok, found = report.structure_id, report.equivalence_ok, report.witnesses
+        flags = [_fmt_bool(v) for v in (report.c1, report.c2, report.c3)]
+    line = "\t".join([sid, *flags, _fmt_bool(ok)])
+    return line, ok, (f"# witness {c} {_witness_str(c, w, label)}" for c, w in found)
 
 
-def _remark_line(poe, ok):
-    sid = canon.ordered_structure_id(poe.table, poe.leq)
-    intra = le.is_intra_regular_poe(poe)
-    return "\t".join([sid, _fmt_bool(intra), _fmt_bool(ok), "-", _fmt_bool(ok)])
+def _witness_str(cond, w, label):
+    if isinstance(w, ordered.ConditionWitness):
+        return (
+            f"X={_set_str(label, w.x)} M={_set_str(label, w.m)}"
+            f" Y={_set_str(label, w.y)} element={label(w.violating_element)}"
+        )
+    mid = "b" if cond == "remark" else "m"
+    return f"x={label(w.x)} {mid}={label(w.m)} y={label(w.y)}"
+
+
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_verify(args):
     if args.file:
-        return _verify_file(args)
+        if args.max_order is not None or args.shard or args.dedup == "iso":
+            return _usage_error("--file takes no --max-order, --shard or --dedup iso")
+        loaded = storage.load(args.file)
+        s = _in_scope(args.scope, loaded.structure)
+        if s is None:
+            need = {"theorem2": "le_semigroup file", "remark": "greatest element"}
+            return _usage_error(f"{args.scope} requires a {need[args.scope]}")
+        line, ok, witnesses = _check(args.scope, s, loaded.label)
+        print(line, *witnesses, f"# checked=1 failures={0 if ok else 1}", sep="\n")
+        return 0 if ok else 1
     if args.max_order is None:
-        print("error: --max-order is required without --file", file=sys.stderr)
-        return 2
+        return _usage_error("--max-order is required without --file")
     cap = enumeration.max_enum_order()
     if not 1 <= args.max_order <= cap:
-        print(
-            f"error: --max-order must be between 1 and {cap}"
-            " (POSEMI_MAX_ORDER overrides the cap)",
-            file=sys.stderr,
+        return _usage_error(
+            f"--max-order must be between 1 and {cap}"
+            " (POSEMI_MAX_ORDER overrides the cap)"
         )
-        return 2
+    if args.max_order > canon.DEDUP_CAP:
+        return _usage_error(
+            f"--max-order {args.max_order} exceeds the canonicalization cap"
+            f" {canon.DEDUP_CAP}"
+        )
+    kind = "le" if args.scope == "theorem2" else "ordered"
+    structures = (
+        _in_scope(args.scope, s)
+        for n in range(1, args.max_order + 1)
+        for s in _stream(kind, n, args.dedup)
+    )
+    start, step = args.shard or (0, 1)
     checked = 0
     failed = []
-    for line, ok in _campaign(args.scope, args.max_order, args.dedup, args.shard):
+    for s in islice(filter(None, structures), start, None, step):
+        line, ok, _ = _check(args.scope, s)
         print(line)
         checked += 1
         if not ok:
@@ -173,52 +211,6 @@ def cmd_verify(args):
         print(f"# FAILED {sid}")
     print(f"# checked={checked} failures={len(failed)}")
     return 1 if failed else 0
-
-
-def _verify_file(args):
-    loaded = storage.load(args.file)
-    s = loaded.structure
-    if args.scope == "theorem1":
-        report = ordered.verify_theorem1(s)
-        print(_report_line(report))
-        for cond, w in report.witnesses:
-            print(
-                f"# witness {cond} X={_set_str(loaded, w.x)}"
-                f" M={_set_str(loaded, w.m)} Y={_set_str(loaded, w.y)}"
-                f" element={loaded.label(w.violating_element)}"
-            )
-        ok = report.equivalence_ok
-    elif args.scope == "theorem2":
-        if not isinstance(s, le.LeSemigroup):
-            print("error: theorem2 requires a le_semigroup file", file=sys.stderr)
-            return 2
-        report = le.verify_theorem2(s)
-        print(_report_line(report))
-        for cond, w in report.witnesses:
-            print(
-                f"# witness {cond} x={loaded.label(w.x)}"
-                f" m={loaded.label(w.m)} y={loaded.label(w.y)}"
-            )
-        ok = report.equivalence_ok
-    else:
-        if isinstance(s, le.PoeSemigroup):
-            poe = s
-        else:
-            top = le.greatest(s.leq)
-            if top is None:
-                print("error: remark requires a greatest element", file=sys.stderr)
-                return 2
-            poe = le.PoeSemigroup(s.table, s.leq, top=top)
-        res = le.check_remark(poe)
-        ok = res is True
-        print(_remark_line(poe, ok))
-        if not ok:
-            print(
-                f"# witness remark x={loaded.label(res.x)}"
-                f" b={loaded.label(res.m)} y={loaded.label(res.y)}"
-            )
-    print(f"# checked=1 failures={0 if ok else 1}")
-    return 0 if ok else 1
 
 
 def cmd_classify(args):
@@ -234,12 +226,9 @@ def cmd_classify(args):
         )
         return 0
     if not isinstance(s, le.PoeSemigroup):
-        print(
-            "error: element classification requires a poe_semigroup or"
-            " le_semigroup file",
-            file=sys.stderr,
+        return _usage_error(
+            "element classification requires a poe_semigroup or le_semigroup file"
         )
-        return 2
     flags = le.element_class(s, loaded.index_of(args.element))
     print(
         f"right={_fmt_bool(flags.right)} left={_fmt_bool(flags.left)}"
@@ -256,15 +245,14 @@ def cmd_generate(args):
         mask = _parse_subset(loaded, args.subset)
         got = ordered.gen_ideal(s, mask, args.kind)
         want = ordered.least_ideal_oracle(s, mask, args.kind)
-        print(_set_str(loaded, got))
+        print(_set_str(loaded.label, got))
         if got == want:
             print("oracle: match")
             return 0
-        print(f"oracle: MISMATCH expected {_set_str(loaded, want)}")
+        print(f"oracle: MISMATCH expected {_set_str(loaded.label, want)}")
         return 1
     if not isinstance(s, le.LeSemigroup):
-        print("error: element generation requires a le_semigroup file", file=sys.stderr)
-        return 2
+        return _usage_error("element generation requires a le_semigroup file")
     a = loaded.index_of(args.element)
     got = le.gen_element(s, a, args.kind)
     want = le.least_element_oracle(s, a, args.kind)
@@ -289,26 +277,12 @@ def cmd_witness(args):
 
 
 def cmd_enumerate(args):
-    dedup = "up_to_iso" if args.dedup == "iso" else "none"
-    cfg = enumeration.EnumerationConfig(
-        order=args.order, dedup=dedup, limit=args.limit, shard=args.shard
-    )
-
-    def structures():
-        if args.kind == "semigroup":
-            discrete = [[i == j for j in range(args.order)] for i in range(args.order)]
-            for t in enumeration.enumerate_semigroups(cfg):
-                yield ordered.OrderedSemigroup(t, discrete)
-        elif args.kind == "ordered":
-            yield from enumeration.enumerate_ordered_semigroups(cfg)
-        else:
-            yield from enumeration.enumerate_le_semigroups(cfg)
-
+    structures = _stream(args.kind, args.order, args.dedup, args.limit, args.shard)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         count = 0
-        for i, s in enumerate(structures()):
+        for i, s in enumerate(structures):
             if args.kind == "le":
                 sid = canon.le_structure_id(s.table, s.join, s.meet)
             else:
@@ -321,7 +295,7 @@ def cmd_enumerate(args):
             count += 1
         print(f"# wrote={count} dir={outdir}")
     else:
-        for s in structures():
+        for s in structures:
             payload = storage.to_payload(s)
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return 0

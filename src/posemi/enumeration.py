@@ -308,21 +308,27 @@ def all_lattices(n):
 
 
 def _lattice_tables(leq, n):
-    """Join and meet tables of a poset, or None when some bound is missing."""
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    """Join and meet tables of a poset, or None when some bound is missing.
+
+    A common upper bound of i and j is their join exactly when its up-set is
+    up[i] & up[j], the set of all their common upper bounds; so each join is
+    one lookup of that bitmask among the up-sets, and each meet likewise
+    among the down-sets.
+    """
     rng = range(n)
-    for i in rng:
-        for j in rng:
-            ups = [k for k in rng if leq[i][k] and leq[j][k]]
-            lub = next((u for u in ups if all(leq[u][w] for w in ups)), None)
-            downs = [k for k in rng if leq[k][i] and leq[k][j]]
-            glb = next((g for g in downs if all(leq[w][g] for w in downs)), None)
-            if lub is None or glb is None:
+    up = [sum(1 << k for k in rng if leq[i][k]) for i in rng]
+    down = [sum(1 << k for k in rng if leq[k][i]) for i in rng]
+    tables = []
+    for sets in (up, down):
+        by_set = {m: i for i, m in enumerate(sets)}
+        table = []
+        for a in sets:
+            row = tuple(by_set.get(a & b) for b in sets)
+            if None in row:
                 return None
-            join[i][j] = lub
-            meet[i][j] = glb
-    return tuple(tuple(r) for r in join), tuple(tuple(r) for r in meet)
+            table.append(row)
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _join_distributive(join, n):

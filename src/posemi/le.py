@@ -6,6 +6,11 @@ element when ea <= a, a bi-ideal element when aea <= a, and a quasi-ideal
 element when ae ^ ea exists in the order and lies below a.  On a lattice the
 generated right/left/bi/quasi elements have closed forms built from joins:
 a v ae, a v ea, a v aea and a v (ae ^ ea).
+
+`le_condition_holds` answers the element-triple conditions from those
+generated elements and runs the triple scan only to find a witness.  The
+same scan serves `check_remark` on poe-semigroups, where a triple counts
+only when its greatest lower bound exists in the order.
 """
 
 from __future__ import annotations
@@ -252,23 +257,22 @@ class ElementWitness:
     y: int
 
 
-def le_principal_condition_holds(L, kind):
-    """True iff every a satisfies a <= l(a)*m(a)*r(a), where r, m and l are
-    the generated right, kind- and left ideal elements (`gen_element`).
-
-    This is equivalent to the all-triples condition of `le_condition_holds`:
-    a = x ^ m ^ y has r(a) <= x, m(a) <= m and l(a) <= y, so
-    a <= l(a)*m(a)*r(a) <= y*m*x; and each principal triple is one of the
-    triples.
-    """
-    if not isinstance(L, LeSemigroup):
-        raise TypeError("le_principal_condition_holds requires a LeSemigroup")
-    _check_condition_kind(kind)
-    t = L.table
-    for a in range(L.n):
-        lm = t[gen_element(L, a, "left")][gen_element(L, a, kind)]
-        if not L.leq[a][t[lm][gen_element(L, a, "right")]]:
-            return False
+def _triple_scan(struct, kind):
+    """First right/kind/left ideal-element triple (x, m, y), scanning each
+    from the highest index down, whose greatest lower bound exists and is not
+    below y*m*x, as an ElementWitness; True when there is none.  The bound is
+    the lattice meet on a LeSemigroup and `order_glb` otherwise."""
+    t, leq = struct.table, struct.leq
+    M = struct.meet if isinstance(struct, LeSemigroup) else None
+    rights = ideal_elements(struct, "right")
+    mids = ideal_elements(struct, kind)
+    lefts = ideal_elements(struct, "left")
+    for x in reversed(rights):
+        for m in reversed(mids):
+            for y in reversed(lefts):
+                low = M[M[x][m]][y] if M else order_glb(leq, (x, m, y))
+                if low is not None and not leq[low][t[t[y][m]][x]]:
+                    return ElementWitness(x=x, m=m, y=y)
     return True
 
 
@@ -282,33 +286,29 @@ def le_condition_scan(L, kind):
     if not isinstance(L, LeSemigroup):
         raise TypeError("le_condition_scan requires a LeSemigroup")
     _check_condition_kind(kind)
-    t, M = L.table, L.meet
-    rights = ideal_elements(L, "right")
-    mids = ideal_elements(L, kind)
-    lefts = ideal_elements(L, "left")
-    for x in reversed(rights):
-        for m in reversed(mids):
-            xm = M[x][m]
-            for y in reversed(lefts):
-                if not L.leq[M[xm][y]][t[t[y][m]][x]]:
-                    return ElementWitness(x=x, m=m, y=y)
-    return True
+    return _triple_scan(L, kind)
 
 
 def le_condition_holds(L, kind):
     """Check x ^ m ^ y <= y*m*x for all right ideal elements x, kind
     elements m and left ideal elements y.
 
-    The principal check (`le_principal_condition_holds`) answers first.
-    Only when it fails does `le_condition_scan` run, to find the witness:
-    the first failing triple scanning x, m and y each from the highest index
-    down.
+    Returns True, or the witness `le_condition_scan` finds.  With r, m and
+    l the generated right, kind- and left ideal elements (`gen_element`),
+    a = x ^ m ^ y has r(a) <= x, m(a) <= m and l(a) <= y, so
+    a <= l(a)*m(a)*r(a) <= y*m*x; and each principal triple is one of the
+    triples.  So the condition holds exactly when every a satisfies
+    a <= l(a)*m(a)*r(a), and the scan runs only when some a does not.
     """
     if not isinstance(L, LeSemigroup):
         raise TypeError("le_condition_holds requires a LeSemigroup")
-    if le_principal_condition_holds(L, kind):
-        return True
-    return le_condition_scan(L, kind)
+    _check_condition_kind(kind)
+    t = L.table
+    for a in range(L.n):
+        lm = t[gen_element(L, a, "left")][gen_element(L, a, kind)]
+        if not L.leq[a][t[lm][gen_element(L, a, "right")]]:
+            return le_condition_scan(L, kind)
+    return True
 
 
 def verify_theorem2(L):
@@ -332,15 +332,4 @@ def check_remark(struct):
         raise TypeError("check_remark requires a PoeSemigroup")
     if not is_intra_regular_poe(struct):
         return True
-    t = struct.table
-    leq = struct.leq
-    rights = ideal_elements(struct, "right")
-    bis = ideal_elements(struct, "bi")
-    lefts = ideal_elements(struct, "left")
-    for x in reversed(rights):
-        for b in reversed(bis):
-            for y in reversed(lefts):
-                low = order_glb(leq, (x, b, y))
-                if low is not None and not leq[low][t[t[y][b]][x]]:
-                    return ElementWitness(x=x, m=b, y=y)
-    return True
+    return _triple_scan(struct, "bi")

@@ -13,6 +13,12 @@ the kind's multiplicative condition:
   quasi  (AS] n (SA] <= A bi     ASA <= A
 
 where (H] = {t : t <= h for some h in H} is the downward closure.
+
+Intra-regularity (c1) is answered element by element by
+`intra_regular_witness`.  The triple conditions (c2, c3) are answered by
+`condition_holds` from the ideals generated by single elements, witness
+included; `condition_scan`, which walks every triple of the ideal families,
+is the oracle it is held to.
 """
 
 from __future__ import annotations
@@ -326,14 +332,9 @@ def least_ideal_oracle(s, x_mask, kind):
 
 
 def is_intra_regular(s):
-    """True iff every element a lies in (S a^2 S]."""
-    full = s.full
-    for a in range(s.n):
-        sq = 1 << s.table[a][a]
-        sa2s = set_product(s, set_product(s, full, sq), full)
-        if not downward_closure(s, sa2s) >> a & 1:
-            return False
-    return True
+    """True iff every element a has an `intra_regular_witness`, that is, lies
+    in (S a^2 S]."""
+    return all(intra_regular_witness(s, a) is not None for a in range(s.n))
 
 
 def intra_regular_witness(s, a):
@@ -385,21 +386,6 @@ def _outside(s, t, y, m, x):
     return not ymx >> t & 1
 
 
-def principal_condition_holds(s, kind):
-    """True iff every element t lies in (L(t) M(t) R(t)], where R(t), M(t)
-    and L(t) are the right, kind- and left ideals generated by t.
-
-    This is equivalent to the all-triples condition of `condition_holds`:
-    if t is in X n M n Y then R(t) <= X, M(t) <= M and L(t) <= Y, so
-    (L(t) M(t) R(t)] <= (Y M X]; and each principal triple is one of the
-    triples.  It needs n generator calls per kind and no ideal family.
-    """
-    return not any(
-        _outside(s, t, l, m, r)
-        for t, (r, m, l) in enumerate(_principal_triples(s, kind))
-    )
-
-
 def condition_scan(s, kind):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
     left ideals Y, by scanning every triple of the ideal families.
@@ -436,8 +422,10 @@ def condition_holds(s, kind):
     elements; no ideal family is built, so any carrier size is accepted.
 
     Returns True, or the witness `condition_scan` finds.  A violating t of
-    a triple has R(t) <= X, M(t) <= M and L(t) <= Y, so the first failing
-    triple is, step by step, the bitmask-least of these candidates:
+    a triple has R(t) <= X, M(t) <= M and L(t) <= Y, so it is not in
+    (L(t) M(t) R(t)]; the condition therefore holds exactly when every t
+    lies in its principal (L(t) M(t) R(t)].  The first failing triple is,
+    step by step, the bitmask-least of these candidates:
     X = R(t) with t not in (L(t) M(t) R(t)]; M = M(t) with t in X not in
     (L(t) M(t) X]; Y = L(t) with t in X n M not in (L(t) M X].  By the same
     inclusion every candidate t fails its principal check, so only those

@@ -154,6 +154,14 @@ class TestVerifyFileGolden:
         assert code == 2
         assert "greatest" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--max-order", "3"], ["--shard", "1/2"], ["--dedup", "iso"]]
+    )
+    def test_campaign_flags_are_a_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, ["verify", "theorem1", "--file", N2, *flags])
+        assert (code, out) == (2, "")
+        assert err == "error: --file takes no --max-order, --shard or --dedup iso\n"
+
 
 class TestVerifyCampaign:
     def test_theorem1_small_campaign(self, capsys):
@@ -243,6 +251,16 @@ class TestVerifyCampaign:
         code, _, err = run(capsys, ["verify", "theorem1"])
         assert code == 2
         assert "--max-order" in err
+
+    def test_max_order_above_dedup_cap(self, capsys, monkeypatch):
+        # rejected before any structure is checked, in both dedup modes
+        monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
+        for dedup in ("none", "iso"):
+            code, out, err = run(
+                capsys, ["verify", "remark", "--max-order", "3", "--dedup", dedup]
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: --max-order 3 exceeds the canonicalization cap 2\n"
 
 
 class TestEnumerateCommand:

@@ -36,6 +36,17 @@ def nonempty_masks(s):
     return range(1, s.full + 1)
 
 
+def intra_regular_by_sets(s):
+    """Oracle for is_intra_regular: every element a lies in (S a^2 S]."""
+    full = s.full
+    for a in range(s.n):
+        sq = 1 << s.table[a][a]
+        sa2s = set_product(s, set_product(s, full, sq), full)
+        if not downward_closure(s, sa2s) >> a & 1:
+            return False
+    return True
+
+
 class TestValidate:
     def test_fixtures_are_valid(self, n2, s2l):
         assert validate(n2) == []
@@ -175,6 +186,11 @@ class TestIntraRegularity:
         assert intra_regular_witness(s2l, 0) == (0, 0)
         assert intra_regular_witness(n2, 1) is None
         assert intra_regular_witness(make_one(), 0) == (0, 0)
+
+    def test_matches_set_oracle(self, ordered_universe_4):
+        values = [is_intra_regular(s) for s in ordered_universe_4]
+        assert values == [intra_regular_by_sets(s) for s in ordered_universe_4]
+        assert 0 < sum(values) < len(values)
 
     def test_witness_agrees_with_predicate(self, ordered_universe_3):
         for s in ordered_universe_3:

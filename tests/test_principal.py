@@ -1,8 +1,9 @@
 """The principal-triple checks against the exhaustive triple scans.
 
-`principal_condition_holds` and `le_principal_condition_holds` answer the
-c2/c3 conditions from the ideals (elements) generated by single elements,
-and `condition_holds` also builds its witness from them alone;
+`condition_holds` and `le_condition_holds` answer the c2/c3 conditions from
+the ideals (elements) generated by single elements; `condition_holds` also
+builds its witness from them alone, while `le_condition_holds` runs
+`le_condition_scan` for the witness only when the principal check fails.
 `condition_scan` and `le_condition_scan` scan every ideal triple and are the
 oracle here.  `condition_holds` / `le_condition_holds` must return exactly
 what the scan returns, witness included.  The ideal families the scans use
@@ -22,12 +23,10 @@ from posemi import (
     is_intra_regular,
     le_condition_holds,
     le_condition_scan,
-    le_principal_condition_holds,
-    principal_condition_holds,
     validate,
     verify_theorem1,
 )
-from posemi import canon, ordered
+from posemi import canon, le, ordered
 from posemi.enumeration import (
     EnumerationConfig,
     _semigroup_tables,
@@ -42,9 +41,7 @@ KINDS = ("bi", "quasi")
 
 def assert_ordered_agree(s):
     for kind in KINDS:
-        scan = condition_scan(s, kind)
-        assert principal_condition_holds(s, kind) == (scan is True), (s.table, kind)
-        assert condition_holds(s, kind) == scan
+        assert condition_holds(s, kind) == condition_scan(s, kind), (s.table, kind)
 
 
 def direct_product(factors):
@@ -106,12 +103,23 @@ def test_no_family_needed(monkeypatch, ordered_universe_3):
     assert failing > 0
 
 
-def test_le_raw_order_4():
-    for L in _le_universe(4, dedup="none"):
-        for kind in KINDS:
-            scan = le_condition_scan(L, kind)
-            assert le_principal_condition_holds(L, kind) == (scan is True)
-            assert le_condition_holds(L, kind) == scan
+def test_le_raw_order_4(monkeypatch):
+    # the principal check runs the scan exactly when the scan finds a
+    # witness: no false negatives, and no scan when the condition holds
+    cases = [(L, kind) for L in _le_universe(4, dedup="none") for kind in KINDS]
+    expected = [le_condition_scan(L, kind) for L, kind in cases]
+    calls = []
+
+    def counted(L, kind):
+        calls.append((L, kind))
+        return le_condition_scan(L, kind)
+
+    monkeypatch.setattr(le, "le_condition_scan", counted)
+    for (L, kind), scan in zip(cases, expected):
+        calls.clear()
+        assert le_condition_holds(L, kind) == scan
+        assert calls == ([] if scan is True else [(L, kind)])
+    assert 0 < sum(scan is not True for scan in expected) < len(cases)
 
 
 def _factors(n):
@@ -173,8 +181,8 @@ def test_families_match_classify_subset(products, twelve):
 
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
-        principal_condition_holds(make_n2(), "left")
+        condition_holds(make_n2(), "left")
     with pytest.raises(ValueError):
-        le_principal_condition_holds(make_l3null(), "right")
+        le_condition_holds(make_l3null(), "right")
     with pytest.raises(TypeError):
-        le_principal_condition_holds(make_n2(), "bi")
+        le_condition_holds(make_n2(), "bi")
