@@ -5,10 +5,16 @@ p(k) and i <= j to p(i) <= p(j).  The canonical form of a structure is the
 lexicographically least encoding over all relabelings, so two structures are
 isomorphic exactly when their canonical forms coincide.
 
-The search compares each relabeling against the running least one cell by
-cell and stops at the first difference (`cmp_relabeled`), so a relabeled
-copy is built only when it is a new least; the enumeration's canonicity
-tests (`is_least`) use the same comparison against the structure itself.
+Every relabeling is a (perm, src) pair from `relabelings(n)`: cell k of the
+row-major relabeled matrix is read from cell src[k] of the original, and its
+value goes through perm when the matrix is element-valued (a table, join or
+meet) and is kept when it is a boolean relation.  Inside this module a matrix
+is a row-major list of cells, and a structure is a list of (cells, values)
+parts.  One builder (`relabel`), one comparison that stops at the first
+differing cell (`cmp_relabeled`) and one least-search (`_least`) serve the
+enumeration's lex-leader search, which takes the pairs directly, its
+canonicity test (`is_least`) and the canonical forms.
+
 The table is always compared first, so canonical forms find the least
 relabeled table and the relabelings that reach it once per table, and
 minimize the order (or join and meet) over those relabelings alone.
@@ -23,16 +29,16 @@ from functools import lru_cache
 
 DEDUP_CAP = 6
 
+_TRUTH = (False, True)  # the value map of a boolean relation: the identity
+
 
 @lru_cache(maxsize=None)
-def perms_with_inverse(n):
-    """All permutations of range(n), each paired with its inverse."""
+def relabelings(n):
+    """Every relabeling of n points as a (perm, src) pair, identity first."""
     out = []
-    for p in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        out.append((p, tuple(inv)))
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)  # inv[perm[i]] = i
+        out.append((perm, tuple(r * n + c for r in inv for c in inv)))
     return tuple(out)
 
 
@@ -43,116 +49,85 @@ def _check_cap(n):
         )
 
 
-def relabel_table(table, perm):
-    """Relabel an element-valued table: out[p(i)][p(j)] = p(table[i][j])."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        pi = perm[i]
-        row = table[i]
-        for j in range(n):
-            out[pi][perm[j]] = perm[row[j]]
-    return tuple(tuple(r) for r in out)
+def _flat(mat):
+    # lists, not tuples: short-lived 9- and 16-cell tuples would fill the
+    # interpreter's tuple free lists and stay resident (about 0.5 MB)
+    return list(itertools.chain.from_iterable(mat))
 
 
-def relabel_relation(rel, perm):
-    """Relabel a boolean relation: out[p(i)][p(j)] = rel[i][j]."""
-    n = len(rel)
-    out = [[False] * n for _ in range(n)]
-    for i in range(n):
-        pi = perm[i]
-        row = rel[i]
-        for j in range(n):
-            out[pi][perm[j]] = row[j]
-    return tuple(tuple(r) for r in out)
+def relabel(cells, perm, src, values=True):
+    """The row-major cells relabeled by (perm, src), as a list.  values=False
+    relabels a boolean relation, whose cells are truth values rather than
+    elements."""
+    vmap = perm if values else _TRUTH
+    return [vmap[cells[k]] for k in src]
 
 
-def cmp_relabeled(mat, perm, pinv, ref, values=True):
-    """-1, 0 or 1 as mat relabeled by perm is less than, equal to or greater
-    than ref, comparing cell by cell in row-major order and stopping at the
-    first difference; the relabeled matrix is never built.
-
-    pinv is the inverse of perm.  values=False compares a boolean relation,
-    whose entries are truth values rather than carrier elements.
-    """
-    n = len(mat)
-    for r in range(n):
-        src = mat[pinv[r]]
-        row = ref[r]
-        for c in range(n):
-            x = src[pinv[c]]
-            if values:
-                x = perm[x]
-            y = row[c]
+def cmp_relabeled(parts, perm, src, refs):
+    """-1, 0 or 1 as the (cells, values) parts relabeled by (perm, src) are
+    less than, equal to or greater than refs, comparing part by part and
+    cell by cell and stopping at the first difference; nothing is built."""
+    for (cells, values), ref in zip(parts, refs):
+        vmap = perm if values else _TRUTH
+        for k, y in zip(src, ref):
+            x = vmap[cells[k]]
             if x != y:
                 return -1 if x < y else 1
     return 0
 
 
-def _cmp_parts(parts, perm, pinv, refs):
-    """cmp_relabeled over the (matrix, values) parts against refs, in order:
-    the first part that differs decides."""
-    for (mat, values), ref in zip(parts, refs):
-        cmp = cmp_relabeled(mat, perm, pinv, ref, values)
-        if cmp:
-            return cmp
-    return 0
-
-
 def is_least(parts, perms):
-    """True when no (perm, inverse) in perms relabels the (matrix, values)
-    parts to something smaller; the enumeration's canonicity test."""
-    mats = [mat for mat, _ in parts]
-    return all(_cmp_parts(parts, perm, pinv, mats) >= 0 for perm, pinv in perms)
+    """True when no (perm, src) in perms relabels the (matrix, values) parts
+    to something smaller; the enumeration's canonicity test."""
+    flat = [(_flat(mat), values) for mat, values in parts]
+    refs = [cells for cells, _ in flat]
+    return all(cmp_relabeled(flat, perm, src, refs) >= 0 for perm, src in perms)
+
+
+def _least(parts, perms):
+    """The least relabeling of the (cells, values) parts over the (perm, src)
+    pairs of perms, with every pair that reaches it.  Each pair is compared
+    against the running least, and only a new least is built."""
+    least, reach = None, []
+    for perm, src in perms:
+        cmp = cmp_relabeled(parts, perm, src, least) if least else -1
+        if cmp < 0:
+            least = [relabel(cells, perm, src, values) for cells, values in parts]
+            reach = [(perm, src)]
+        elif cmp == 0:
+            reach.append((perm, src))
+    return least, reach
 
 
 @lru_cache(maxsize=1)
 def _least_table(table):
-    """Least relabeling of an element-valued table, with every (perm,
-    inverse) that reaches it.  Ordered streams yield all orders of one table
-    in a row, so one cached table serves them all."""
+    """_least of a table (nested tuples, the cache key) over every
+    relabeling.  Ordered streams yield all orders of one table in a row, so
+    one cached table serves them all."""
+    _check_cap(len(table))
+    return _least(((_flat(table), True),), relabelings(len(table)))
+
+
+def _canonical(table, *rest):
+    """Least relabeling of table followed by the (cells, values) parts of
+    rest, compared in that order, as nested tuples.  Only the relabelings
+    that take table to its least form can win, so rest is minimized over
+    those alone."""
     n = len(table)
-    _check_cap(n)
-    perms = perms_with_inverse(n)
-    best = table
-    reach = [perms[0]]
-    for perm, pinv in perms[1:]:
-        cmp = cmp_relabeled(table, perm, pinv, best)
-        if cmp < 0:
-            best = relabel_table(table, perm)
-            reach = [(perm, pinv)]
-        elif cmp == 0:
-            reach.append((perm, pinv))
-    return best, tuple(reach)
-
-
-def _least_relabeling(table, rest):
-    """Least relabeling of table followed by the (matrix, values) parts of
-    rest, compared in that order.  Only the relabelings that take table to
-    its least form can win, so rest is minimized over those alone: each is
-    compared against the running best and only a new best is built."""
-    least, reach = _least_table(table)
-    best = None
-    for perm, pinv in reach:
-        if best is None or _cmp_parts(rest, perm, pinv, best) < 0:
-            best = [
-                relabel_table(mat, perm) if values else relabel_relation(mat, perm)
-                for mat, values in rest
-            ]
-    return (least, *best)
+    least, reach = _least_table(tuple(map(tuple, table)))
+    best, _ = _least(rest, reach)
+    rows = range(0, n * n, n)
+    return tuple(tuple(tuple(c[r : r + n]) for r in rows) for c in least + best)
 
 
 def canonical_ordered(table, leq):
     """Least relabeling of (table, leq); the table part is compared first."""
-    table = tuple(tuple(row) for row in table)
-    leq = tuple(tuple(bool(v) for v in row) for row in leq)
-    return _least_relabeling(table, ((leq, False),))
+    return _canonical(table, (list(map(bool, _flat(leq))), False))
 
 
 def canonical_le(table, join, meet):
     """Least relabeling of (table, join, meet), compared in that order."""
-    table, join, meet = (tuple(map(tuple, mat)) for mat in (table, join, meet))
-    return _least_relabeling(table, ((join, True), (meet, True)))
+    return _canonical(table, (_flat(join), True), (_flat(meet), True))
 
 
 def _digest(payload):

@@ -279,6 +279,11 @@ def cmd_witness(args):
 def cmd_enumerate(args):
     structures = _stream(args.kind, args.order, args.dedup, args.limit, args.shard)
     if args.out:
+        if args.order > canon.DEDUP_CAP:  # each file name carries an id
+            return _usage_error(
+                f"--out with --order {args.order} exceeds the canonicalization"
+                f" cap {canon.DEDUP_CAP}"
+            )
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         count = 0
@@ -287,11 +292,7 @@ def cmd_enumerate(args):
                 sid = canon.le_structure_id(s.table, s.join, s.meet)
             else:
                 sid = canon.ordered_structure_id(s.table, s.leq)
-            path = outdir / f"{i:06d}-{sid}.json"
-            path.write_text(
-                json.dumps(storage.to_payload(s), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            storage.save(s, outdir / f"{i:06d}-{sid}.json")
             count += 1
         print(f"# wrote={count} dir={outdir}")
     else:

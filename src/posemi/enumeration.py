@@ -15,9 +15,10 @@ relabeling, so the up_to_iso stream is the set of canonical forms of the raw
 stream, one representative per isomorphism class.  The table part is
 deduplicated during the search by lex-leader pruning: every node keeps the
 relabelings that could still make its table row-major smaller, and cuts the
-subtree as soon as one of them does on the cells known so far.  Each leaf
-then comes with its automorphisms (the relabelings still live), and the
-order or lattice part is kept when none of them makes it smaller.
+subtree as soon as one of them does on the cells known so far.  The
+relabelings are canon's (perm, src) pairs, taken as they are.  Each leaf
+then comes with its automorphisms (the pairs still live), and the order or
+lattice part is kept when none of them makes it smaller (canon.is_least).
 """
 
 from __future__ import annotations
@@ -101,15 +102,15 @@ def _fill(n, hook=None, perms=()):
     cells is set, whichever of them that is, so no dead subtree outlives the
     cell that kills it and no leaf check is needed.
 
-    perms, (perm, inverse) pairs, makes the search keep only the tables that
-    no perm relabels to a row-major smaller table (lex-leader pruning).  Each
-    node keeps the perms still live, each with the first cell at which its
-    relabeled partial table is not yet known to equal the table.  After a
-    cell is set, every live perm resumes its comparison there and stops at
-    the first cell unset on either side: a smaller relabeled cell prunes the
-    subtree, a larger one drops the perm for the subtree.  At a leaf every
-    cell is known, so the perms still live are the table's automorphisms
-    among perms.
+    perms, (perm, src) relabelings from canon.relabelings, makes the search
+    keep only the tables that no perm relabels to a row-major smaller table
+    (lex-leader pruning).  Each node keeps the perms still live, each with
+    the first cell at which its relabeled partial table is not yet known to
+    equal the table.  After a cell is set, every live perm resumes its
+    comparison there and stops at the first cell unset on either side: a
+    smaller relabeled cell prunes the subtree, a larger one drops the perm
+    for the subtree.  At a leaf every cell is known, so the perms still live
+    are the table's automorphisms among perms.
     """
     rng = range(n)
     size = n * n
@@ -117,10 +118,7 @@ def _fill(n, hook=None, perms=()):
     cells = [-1] * size  # table in row-major order, for the comparisons
     preimage = [[] for _ in rng]  # preimage[v]: set cells (a, b) with ab = v
     # relabeled cell k is perm[cells[src[k]]]
-    live0 = [
-        (0, perm, (perm, pinv), [pinv[r] * n + pinv[c] for r in rng for c in rng])
-        for perm, pinv in perms
-    ]
+    live0 = [(0, perm, src) for perm, src in perms]
 
     def consistent(i, j, v):
         row_i = table[i]
@@ -159,11 +157,11 @@ def _fill(n, hook=None, perms=()):
         """The live perms once cells 0..k are set, or None when one of them
         relabels the table to a smaller one."""
         out = []
-        for f, perm, pair, src in live:
+        for f, perm, src in live:
             while f <= k:
                 x = cells[src[f]]
                 if x < 0:
-                    out.append((f, perm, pair, src))
+                    out.append((f, perm, src))
                     break
                 x = perm[x]
                 y = cells[f]
@@ -173,12 +171,12 @@ def _fill(n, hook=None, perms=()):
                     break
                 f += 1
             else:
-                out.append((f, perm, pair, src))
+                out.append((f, perm, src))
         return out
 
     def fill(k, live):
         if k == size:
-            yield tuple(tuple(row) for row in table), [e[2] for e in live]
+            yield tuple(tuple(row) for row in table), [e[1:] for e in live]
             return
         i, j = divmod(k, n)
         row = table[i]
@@ -207,7 +205,7 @@ def _semigroup_tables(n, dedup):
     keeps the tables no relabeling makes smaller, with their non-identity
     automorphisms."""
     if dedup == "up_to_iso":
-        return _fill(n, perms=canon.perms_with_inverse(n)[1:])
+        return _fill(n, perms=canon.relabelings(n)[1:])
     return ((table, ()) for table in associative_tables(n))
 
 
@@ -371,7 +369,7 @@ def enumerate_le_semigroups(cfg):
     n = cfg.order
 
     def stream():
-        perms = canon.perms_with_inverse(n)[1:] if cfg.dedup == "up_to_iso" else ()
+        perms = canon.relabelings(n)[1:] if cfg.dedup == "up_to_iso" else ()
         for leq, join, meet, top in all_lattices(n):
             for table, auts in _fill(n, _join_distributive(join, n), perms):
                 if canon.is_least(((join, True), (meet, True)), auts):

@@ -16,6 +16,13 @@ CHAIN3_JOIN = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 CHAIN3_MEET = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
 
 
+def relabeled(mat, p, values=True):
+    """mat with entry (i, j) moved to (p[i], p[j]), mapped by p when values."""
+    at = {(p[i], p[j]): v for i, row in enumerate(mat) for j, v in enumerate(row)}
+    rng = range(len(p))
+    return tuple(tuple(p[at[i, j]] if values else at[i, j] for j in rng) for i in rng)
+
+
 def make_n2():
     """Two-element null semigroup with 0 < a."""
     return OrderedSemigroup([[0, 0], [0, 0]], [[1, 1], [0, 1]])

@@ -1,5 +1,6 @@
 """Canonical forms: the early-exit relabeling search against the minimum
-over every materialized relabeling."""
+over every materialized relabeling, each built by the tests' own nested
+`relabeled`, independent of canon's (perm, src) relabelings."""
 
 import itertools
 import random
@@ -7,30 +8,36 @@ import random
 import pytest
 
 from posemi import canonical_le, canonical_ordered
-from posemi.canon import cmp_relabeled, perms_with_inverse, relabel_relation, relabel_table
+from posemi.canon import cmp_relabeled, relabel, relabelings
 from posemi.enumeration import (
     EnumerationConfig,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
 )
 
+from conftest import relabeled
+
 
 def brute_canonical_ordered(table, leq):
     return min(
-        (relabel_table(table, p), relabel_relation(leq, p))
+        (relabeled(table, p), relabeled(leq, p, values=False))
         for p in itertools.permutations(range(len(table)))
     )
 
 
 def brute_canonical_le(table, join, meet):
     return min(
-        tuple(relabel_table(mat, p) for mat in (table, join, meet))
+        tuple(relabeled(mat, p) for mat in (table, join, meet))
         for p in itertools.permutations(range(len(table)))
     )
 
 
 def _sign(x, y):
     return (x > y) - (x < y)
+
+
+def _flat(mat):
+    return [v for row in mat for v in row]
 
 
 class TestCmpRelabeled:
@@ -44,16 +51,35 @@ class TestCmpRelabeled:
         mats.append(((0, 0, 0),) * 3)
         for mat in mats:
             for ref in (mat, mats[0], rng.choice(mats)):
-                for perm, pinv in perms_with_inverse(n):
-                    want = _sign(relabel_table(mat, perm), ref)
-                    assert cmp_relabeled(mat, perm, pinv, ref) == want
+                for perm, src in relabelings(n):
+                    built = relabeled(mat, perm)
+                    assert relabel(_flat(mat), perm, src) == _flat(built)
+                    want = _sign(built, ref)
+                    parts = [(_flat(mat), True)]
+                    assert cmp_relabeled(parts, perm, src, [_flat(ref)]) == want
 
     def test_boolean_relations_keep_their_values(self):
         chain = ((True, True, True), (False, True, True), (False, False, True))
-        for perm, pinv in perms_with_inverse(3):
-            for ref in (chain, relabel_relation(chain, (2, 0, 1))):
-                want = _sign(relabel_relation(chain, perm), ref)
-                assert cmp_relabeled(chain, perm, pinv, ref, values=False) == want
+        parts = [(_flat(chain), False)]
+        for perm, src in relabelings(3):
+            built = relabeled(chain, perm, values=False)
+            assert relabel(_flat(chain), perm, src, values=False) == _flat(built)
+            for ref in (chain, relabeled(chain, (2, 0, 1), values=False)):
+                want = _sign(built, ref)
+                assert cmp_relabeled(parts, perm, src, [_flat(ref)]) == want
+
+    def test_parts_compare_in_order(self):
+        # the first part that differs decides, as for tuples of matrices; the
+        # table is fixed by the relabelings that fix 0, so the order decides
+        table = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+        chain = ((True, True, True), (False, True, True), (False, False, True))
+        parts = [(_flat(table), True), (_flat(chain), False)]
+        for perm, src in relabelings(3):
+            built = (relabeled(table, perm), relabeled(chain, perm, values=False))
+            for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+                ref = (relabeled(table, p), relabeled(chain, p, values=False))
+                got = cmp_relabeled(parts, perm, src, [_flat(m) for m in ref])
+                assert got == _sign(built, ref)
 
 
 class TestCanonicalFormsMatchBruteForce:
@@ -76,8 +102,8 @@ class TestCanonicalFormsMatchBruteForce:
         order4 = [s for s in ordered_universe_4 if s.n == 4]
         for s in rng.sample(order4, 600):
             perm = rng.sample(range(4), 4)
-            table = relabel_table(s.table, perm)
-            leq = relabel_relation(s.leq, perm)
+            table = relabeled(s.table, perm)
+            leq = relabeled(s.leq, perm, values=False)
             got = canonical_ordered(table, leq)
             assert got == brute_canonical_ordered(table, leq)
             assert got == (s.table, s.leq)  # the iso stream is canonical
@@ -86,7 +112,7 @@ class TestCanonicalFormsMatchBruteForce:
         rng = random.Random(4)
         for L in (L for L in le_universe_4 if L.n == 4):
             perm = rng.sample(range(4), 4)
-            mats = [relabel_table(m, perm) for m in (L.table, L.join, L.meet)]
+            mats = [relabeled(m, perm) for m in (L.table, L.join, L.meet)]
             got = canonical_le(*mats)
             assert got == brute_canonical_le(*mats)
             assert got == (L.table, L.join, L.meet)

@@ -1,6 +1,7 @@
 """Command-line harness: golden fixture outputs, campaign determinism,
 sharding, and the exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import posemi
 from posemi.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 
 N2 = str(FIXTURES / "n2.json")
 S2L = str(FIXTURES / "s2l.json")
@@ -187,6 +188,14 @@ class TestVerifyCampaign:
         assert lines[-1] == "# checked=7 failures=0"
         assert all("\t-\t" in line for line in lines[:-1])
 
+    def test_streams_match_pinned_digests(self, capsys):
+        # SHA-256 of each stdout stream: every id and line is pinned
+        pinned = json.loads((GOLDEN / "streams.json").read_text())
+        for command, digest in pinned.items():
+            code, out, _ = run(capsys, command.split())
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, ["verify", "theorem1", "--max-order", "2"])
         _, second, _ = run(capsys, ["verify", "theorem1", "--max-order", "2"])
@@ -308,6 +317,20 @@ class TestEnumerateCommand:
 
         for f in files:
             load(f)  # must all be valid
+
+    def test_out_above_dedup_cap(self, capsys, monkeypatch, tmp_path):
+        # file names carry ids, so the cap is a usage error before any write
+        monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
+        outdir = tmp_path / "structures"
+        code, out, err = run(
+            capsys,
+            ["enumerate", "--kind", "ordered", "--order", "3", "--out", str(outdir)],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --out with --order 3 exceeds the canonicalization cap 2\n"
+        )
+        assert not outdir.exists()
 
     def test_shard_merge_matches_unsharded(self, capsys):
         _, whole, _ = run(capsys, ["enumerate", "--kind", "ordered", "--order", "2"])

@@ -36,15 +36,15 @@ def nonempty_masks(s):
     return range(1, s.full + 1)
 
 
+def in_sa2s(s, a):
+    """a lies in (S a^2 S], from set products and the downward closure."""
+    sa2s = set_product(s, set_product(s, s.full, 1 << s.table[a][a]), s.full)
+    return bool(downward_closure(s, sa2s) >> a & 1)
+
+
 def intra_regular_by_sets(s):
     """Oracle for is_intra_regular: every element a lies in (S a^2 S]."""
-    full = s.full
-    for a in range(s.n):
-        sq = 1 << s.table[a][a]
-        sa2s = set_product(s, set_product(s, full, sq), full)
-        if not downward_closure(s, sa2s) >> a & 1:
-            return False
-    return True
+    return all(in_sa2s(s, a) for a in range(s.n))
 
 
 class TestValidate:
@@ -193,11 +193,15 @@ class TestIntraRegularity:
         assert 0 < sum(values) < len(values)
 
     def test_witness_agrees_with_predicate(self, ordered_universe_3):
+        # a witness exists exactly when a lies in (S a^2 S], and it is one
         for s in ordered_universe_3:
-            has_all = all(
-                intra_regular_witness(s, a) is not None for a in range(s.n)
-            )
-            assert has_all == is_intra_regular(s)
+            t = s.table
+            for a in range(s.n):
+                pair = intra_regular_witness(s, a)
+                assert (pair is not None) == in_sa2s(s, a)
+                if pair is not None:
+                    x, y = pair
+                    assert s.leq[a][t[t[x][t[a][a]]][y]]  # a <= x*a^2*y
 
     def test_equivalent_forms_agree(self, ordered_universe_3):
         # elementwise membership form vs the subset form A <= (S A^2 S]
