@@ -285,15 +285,19 @@ def cmd_enumerate(args):
                 f" cap {canon.DEDUP_CAP}"
             )
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         count = 0
-        for i, s in enumerate(structures):
-            if args.kind == "le":
-                sid = canon.le_structure_id(s.table, s.join, s.meet)
-            else:
-                sid = canon.ordered_structure_id(s.table, s.leq)
-            storage.save(s, outdir / f"{i:06d}-{sid}.json")
-            count += 1
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for i, s in enumerate(structures):
+                if args.kind == "le":
+                    sid = canon.le_structure_id(s.table, s.join, s.meet)
+                else:
+                    sid = canon.ordered_structure_id(s.table, s.leq)
+                storage.save(s, outdir / f"{i:06d}-{sid}.json")
+                count += 1
+        except OSError as exc:
+            print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         print(f"# wrote={count} dir={outdir}")
     else:
         for s in structures:

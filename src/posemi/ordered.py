@@ -234,67 +234,40 @@ def _union_tables(images):
 
 
 def _ideal_families(s):
-    """The four ideal families in one pass over all 2^n subsets.
+    """The four ideal families, each one filter over all 2^n subsets.
 
-    A subset X is a kind-ideal when the union of its closure (X] with the
-    kind's product set (SX, XS, (XS] n (SX] or XSX) lies inside X.  The
-    pass splits each mask into a low half L and a high half H and reads
-    those sets from tables on the halves, so every subset costs a handful
-    of lookups and the pass takes time set by n alone.  (X], SX, XS, (XS]
-    and (SX] are unions over the elements of X.  (X] u XSX is that set on L,
-    on H, and iSj u jSi for i in L and j in H.  The flags agree with
+    Closure and products distribute over union.  So with the principal
+    ideals R(t) = (t u tS] and L(t) = (t u St], and unions over t in X, a
+    nonempty X is a right ideal iff U R(t) <= X, a left ideal iff
+    U L(t) <= X, and a quasi-ideal iff (U R(t)) n (U L(t)) <= X, since
+    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  X is a bi-ideal iff
+    (X] u XSX <= X, the union of (i] u iSj u jSi over i, j in X.  Each union
+    is a table over all masks; the bi table is filtered and dropped before
+    the right and left tables are built, so at most two are alive at once.
+    R(t) and L(t) come from `set_product` and `downward_closure`, not from
+    the generators the families are the oracle for.  The flags agree with
     `classify_subset`.
     """
     n, full, below = s.n, s.full, s.below
-    half = (n + 1) // 2
-    low, high = range(half), range(half, n)
+    masks = range(1, full + 1)
     i_s = [set_product(s, 1 << i, full) for i in range(n)]
     s_i = [set_product(s, full, 1 << i) for i in range(n)]
     isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
-    pair = [[below[i] | isj[i][j] | isj[j][i] for j in range(n)] for i in range(n)]
-
-    def halves(images):
-        return (
-            _union_tables([images[i] for i in low]),
-            _union_tables([images[i] for i in high]),
-        )
-
-    def bi_table(elems):
-        out = [0]
-        for k, i in enumerate(elems):
-            reach = _union_tables([pair[i][j] for j in elems[:k]])
-            out += [v | r | pair[i][i] for v, r in zip(out, reach)]
-        return out
-
-    down_lo, down_hi = halves(below)
-    left_lo, left_hi = halves([b | a for b, a in zip(below, s_i)])
-    right_lo, right_hi = halves([b | a for b, a in zip(below, i_s)])
-    dxs_lo, dxs_hi = halves([downward_closure(s, a) for a in i_s])
-    dsx_lo, dsx_hi = halves([downward_closure(s, a) for a in s_i])
-    bi_lo, bi_hi = bi_table(low), bi_table(high)
-    across = [_union_tables([pair[i][j] for j in high]) for i in low]
-
-    lists = {kind: [] for kind in IDEAL_KINDS}
-    left, right, quasi, bi = (lists[k] for k in ("left", "right", "quasi", "bi"))
-    for h in range(1 << len(high)):
-        base = h << half
-        left_h, right_h, bi_h = left_hi[h], right_hi[h], bi_hi[h]
-        dxs_h, dsx_h, down_h = dxs_hi[h], dsx_hi[h], down_hi[h]
-        cross = _union_tables([a[h] for a in across])
-        for lo in range(0 if h else 1, 1 << half):
-            m = base | lo
-            out = full ^ m
-            if not (left_h | left_lo[lo]) & out:
-                left.append(m)
-            if not (right_h | right_lo[lo]) & out:
-                right.append(m)
-            if not (
-                (dxs_h | dxs_lo[lo]) & (dsx_h | dsx_lo[lo]) | down_h | down_lo[lo]
-            ) & out:
-                quasi.append(m)
-            if not (bi_h | bi_lo[lo] | cross[lo]) & out:
-                bi.append(m)
-    return {kind: tuple(v) for kind, v in lists.items()}
+    table = [0]
+    for i in range(n):
+        reach = _union_tables([isj[i][j] | isj[j][i] for j in range(i)])
+        own = below[i] | isj[i][i]
+        table += [v | r | own for v, r in zip(table, reach)]
+    bi = tuple(m for m in masks if not table[m] & ~m)
+    del table, reach
+    right = _union_tables([downward_closure(s, 1 << t | a) for t, a in enumerate(i_s)])
+    left = _union_tables([downward_closure(s, 1 << t | a) for t, a in enumerate(s_i)])
+    return {
+        "left": tuple(m for m in masks if not left[m] & ~m),
+        "right": tuple(m for m in masks if not right[m] & ~m),
+        "quasi": tuple(m for m in masks if not right[m] & left[m] & ~m),
+        "bi": bi,
+    }
 
 
 def ideal_masks(s, kind):

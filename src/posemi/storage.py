@@ -194,6 +194,10 @@ def load(path):
         raise StructureFileError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise StructureFileError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise StructureFileError(f"{path}: JSON nested too deeply") from None
     try:
         return from_payload(obj)
     except StructureFileError as exc:

@@ -318,6 +318,17 @@ class TestEnumerateCommand:
         for f in files:
             load(f)  # must all be valid
 
+    def test_out_onto_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "some-file.json"
+        target.write_text("{}", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["enumerate", "--kind", "semigroup", "--order", "2", "--out", str(target)],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {target}: File exists\n"
+        assert target.read_text(encoding="utf-8") == "{}"
+
     def test_out_above_dedup_cap(self, capsys, monkeypatch, tmp_path):
         # file names carry ids, so the cap is a usage error before any write
         monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
@@ -393,6 +404,22 @@ class TestErrorPaths:
         )
         assert code == 1
         assert err.startswith(f"error: {tmp_path}: ")
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, data, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["verify", "theorem1", "--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {reason}")
+        assert "Traceback" not in err
 
     def test_invalid_structure_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -23,7 +23,7 @@ from posemi import (
 )
 from posemi.enumeration import EnumerationConfig, enumerate_ordered_semigroups
 
-from conftest import make_n2, make_one, make_s2l, make_z2
+from conftest import _ordered_universe, make_n2, make_one, make_s2l, make_z2
 
 FULL2 = 0b11
 
@@ -308,7 +308,9 @@ class TestIdealHierarchy:
             assert f.left and f.right and f.quasi and f.bi
 
     def test_ideal_masks_match_classify_subset(self, ordered_universe_4):
-        for s in ordered_universe_4:
+        # the raw order-3 universe holds every labeling of each class, so the
+        # union tables, indexed by bit position, meet each class under all of them
+        for s in [*ordered_universe_4, *_ordered_universe(3, dedup="none")]:
             flags = [classify_subset(s, m) for m in nonempty_masks(s)]
             for kind in ("left", "right", "quasi", "bi"):
                 expected = tuple(

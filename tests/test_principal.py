@@ -156,7 +156,7 @@ def test_direct_products(products):
 
 @pytest.fixture(scope="module")
 def twelve():
-    # splits its masks into two 6-bit halves in the family pass
+    # the largest carrier the families take: 4096-entry union tables
     ir2, non2 = _factors(2)
     ir3, _ = _factors(3)
     s = direct_product([ir2[0], non2[-1], ir3[-1]])
