@@ -45,7 +45,6 @@ from .ordered import (
     OrderedSemigroup,
     classify_subset,
     condition_holds,
-    condition_scan,
     downward_closure,
     gen_ideal,
     ideal_masks,

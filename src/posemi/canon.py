@@ -135,10 +135,16 @@ def _digest(payload):
     return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
 
 
+def ordered_digest(table, leq):
+    """Digest of (table, leq) taken as it is: `ordered_structure_id` of a
+    structure that is its own canonical form, as every structure of an
+    up_to_iso stream is.  leq holds booleans."""
+    return _digest({"kind": "ordered_semigroup", "table": table, "leq": leq})
+
+
 def ordered_structure_id(table, leq):
     """Relabeling-invariant id of an ordered semigroup."""
-    t, o = canonical_ordered(table, leq)
-    return _digest({"kind": "ordered_semigroup", "table": t, "leq": o})
+    return ordered_digest(*canonical_ordered(table, leq))
 
 
 def le_structure_id(table, join, meet):

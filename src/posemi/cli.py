@@ -4,10 +4,13 @@ and inspect single structure files.
 Campaign report streams are deterministic: one tab-separated line per
 structure (id, c1, c2, c3, ok) followed by a summary comment.  One stream
 builder (`_stream`) feeds both `enumerate` and `verify`, and one per-scope
-check (`_check`) makes the line of every campaign structure and of `verify
---file`; only the file path formats and prints the witness lines.  Exit
-status is nonzero exactly when a validation failure, an oracle discrepancy
-or an equivalence failure occurred; usage errors exit with status 2.
+check (`_check`) makes the line of `verify --file` and of every theorem2
+and remark campaign structure; only the file path formats and prints the
+witness lines.  theorem1 campaigns print no witness, so they take the
+(table, order) pairs straight to the per-table kernel (`_theorem1_lines`).
+Exit status is nonzero exactly when a validation failure, an oracle
+discrepancy or an equivalence failure occurred; usage errors exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -103,11 +106,15 @@ def _set_str(label, mask):
     return "{" + ", ".join(label(i) for i in ordered.subset_indices(mask)) + "}"
 
 
+def _config(order, dedup, limit=None, shard=None):
+    dedup = "up_to_iso" if dedup == "iso" else "none"
+    return enumeration.EnumerationConfig(order, dedup, limit, shard)
+
+
 def _stream(kind, order, dedup, limit=None, shard=None):
     """The enumerated structures of one kind and order: semigroups (with
     the discrete order), ordered semigroups or le-semigroups."""
-    dedup = "up_to_iso" if dedup == "iso" else "none"
-    cfg = enumeration.EnumerationConfig(order, dedup, limit, shard)
+    cfg = _config(order, dedup, limit, shard)
     if kind == "semigroup":
         discrete = [[i == j for j in range(order)] for i in range(order)]
         for t in enumeration.enumerate_semigroups(cfg):
@@ -152,6 +159,23 @@ def _check(scope, s, label=str):
     return line, ok, (f"# witness {c} {_witness_str(c, w, label)}" for c, w in found)
 
 
+def _theorem1_lines(max_order, dedup, start, step):
+    """(line, ok) for the theorem1 campaign structures at positions start,
+    start + step, ... of the stream; the lines `_check` makes, with the
+    flags from the per-table kernel.  A structure of an iso stream is its
+    own canonical form, so its id is the digest of (table, leq) itself."""
+    sid = canon.ordered_digest if dedup == "iso" else canon.ordered_structure_id
+    pairs = (
+        pair
+        for n in range(1, max_order + 1)
+        for pair in enumeration.ordered_pairs(_config(n, dedup))
+    )
+    for table, leq in islice(pairs, start, None, step):
+        flags = ordered.theorem1_flags(table, leq)
+        ok = flags[0] == flags[1] == flags[2]
+        yield "\t".join([sid(table, leq), *map(_fmt_bool, flags), _fmt_bool(ok)]), ok
+
+
 def _witness_str(cond, w, label):
     if isinstance(w, ordered.ConditionWitness):
         return (
@@ -192,17 +216,23 @@ def cmd_verify(args):
             f"--max-order {args.max_order} exceeds the canonicalization cap"
             f" {canon.DEDUP_CAP}"
         )
-    kind = "le" if args.scope == "theorem2" else "ordered"
-    structures = (
-        _in_scope(args.scope, s)
-        for n in range(1, args.max_order + 1)
-        for s in _stream(kind, n, args.dedup)
-    )
     start, step = args.shard or (0, 1)
+    if args.scope == "theorem1":
+        lines = _theorem1_lines(args.max_order, args.dedup, start, step)
+    else:
+        kind = "le" if args.scope == "theorem2" else "ordered"
+        structures = (
+            _in_scope(args.scope, s)
+            for n in range(1, args.max_order + 1)
+            for s in _stream(kind, n, args.dedup)
+        )
+        lines = (
+            _check(args.scope, s)[:2]
+            for s in islice(filter(None, structures), start, None, step)
+        )
     checked = 0
     failed = []
-    for s in islice(filter(None, structures), start, None, step):
-        line, ok, _ = _check(args.scope, s)
+    for line, ok in lines:
         print(line)
         checked += 1
         if not ok:

@@ -269,9 +269,9 @@ def enumerate_compatible_orders(table):
     return _compatible_orders(table)
 
 
-def enumerate_ordered_semigroups(cfg):
-    """Ordered semigroups of the configured order: every associative table
-    paired with every compatible partial order.
+def ordered_pairs(cfg):
+    """(table, leq) of the configured ordered semigroups: every associative
+    table paired with every compatible partial order.
 
     dedup="up_to_iso" keeps canonical (table, order) pairs: the table part
     must itself be canonical, and only table automorphisms, which the search
@@ -284,9 +284,14 @@ def enumerate_ordered_semigroups(cfg):
         for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
             for leq in enumerate_compatible_orders(table):
                 if canon.is_least(((leq, False),), auts):
-                    yield OrderedSemigroup(table, leq)
+                    yield table, leq
 
     return _finalize(stream(), cfg)
+
+
+def enumerate_ordered_semigroups(cfg):
+    """The structures of `ordered_pairs`, as OrderedSemigroups."""
+    return (OrderedSemigroup(table, leq) for table, leq in ordered_pairs(cfg))
 
 
 @lru_cache(maxsize=None)

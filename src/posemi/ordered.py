@@ -17,13 +17,17 @@ where (H] = {t : t <= h for some h in H} is the downward closure.
 Intra-regularity (c1) is answered element by element by
 `intra_regular_witness`.  The triple conditions (c2, c3) are answered by
 `condition_holds` from the ideals generated by single elements, witness
-included; `condition_scan`, which walks every triple of the ideal families,
-is the oracle it is held to.
+included; the tests hold it to a scan over every triple of the ideal
+families.  Campaigns need only the three truth values, and `theorem1_flags`
+gives them for every order of one table from products worked out once per
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 from .canon import ordered_structure_id
 from .report import VerificationReport
@@ -233,45 +237,62 @@ def _union_tables(images):
     return out
 
 
-def _ideal_families(s):
-    """The four ideal families, each one filter over all 2^n subsets.
+def _bi_family(s):
+    """The bi-ideals, one filter over all 2^n subsets.
 
-    Closure and products distribute over union.  So with the principal
-    ideals R(t) = (t u tS] and L(t) = (t u St], and unions over t in X, a
-    nonempty X is a right ideal iff U R(t) <= X, a left ideal iff
-    U L(t) <= X, and a quasi-ideal iff (U R(t)) n (U L(t)) <= X, since
-    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  X is a bi-ideal iff
-    (X] u XSX <= X, the union of (i] u iSj u jSi over i, j in X.  Each union
-    is a table over all masks; the bi table is filtered and dropped before
-    the right and left tables are built, so at most two are alive at once.
-    R(t) and L(t) come from `set_product` and `downward_closure`, not from
-    the generators the families are the oracle for.  The flags agree with
-    `classify_subset`.
+    Closure and products distribute over union, so a nonempty X is a
+    bi-ideal iff (X] u XSX <= X, and (X] u XSX is the union of
+    (i] u iSj u jSi over i, j in X.  The union table is built element by
+    element from the pair images of the elements before it.  iS is the set
+    of entries in row i.  The flags agree with `classify_subset`.
     """
     n, full, below = s.n, s.full, s.below
-    masks = range(1, full + 1)
-    i_s = [set_product(s, 1 << i, full) for i in range(n)]
-    s_i = [set_product(s, full, 1 << i) for i in range(n)]
+    i_s = [subset_mask(row, n) for row in s.table]
     isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
     table = [0]
     for i in range(n):
         reach = _union_tables([isj[i][j] | isj[j][i] for j in range(i)])
         own = below[i] | isj[i][i]
         table += [v | r | own for v, r in zip(table, reach)]
-    bi = tuple(m for m in masks if not table[m] & ~m)
-    del table, reach
-    right = _union_tables([downward_closure(s, 1 << t | a) for t, a in enumerate(i_s)])
-    left = _union_tables([downward_closure(s, 1 << t | a) for t, a in enumerate(s_i)])
+    return {"bi": tuple(m for m in range(1, full + 1) if not table[m] & ~m)}
+
+
+def _one_sided_families(s):
+    """The right, left and quasi-ideals, each one filter over all 2^n
+    subsets.
+
+    With the principal ideals R(t) = (t u tS] and L(t) = (t u St], and
+    unions over t in X, a nonempty X is a right ideal iff U R(t) <= X, a
+    left ideal iff U L(t) <= X, and a quasi-ideal iff
+    (U R(t)) n (U L(t)) <= X, since
+    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  The three share the
+    two union tables.  R(t) and L(t) come from the rows of the table,
+    `set_product` and `downward_closure`, not from the generators the
+    families are the oracle for.  The flags agree with `classify_subset`.
+    """
+    n, full = s.n, s.full
+    masks = range(1, full + 1)
+    right = _union_tables(
+        [downward_closure(s, 1 << t | subset_mask(r, n)) for t, r in enumerate(s.table)]
+    )
+    left = _union_tables(
+        [downward_closure(s, 1 << t | set_product(s, full, 1 << t)) for t in range(n)]
+    )
     return {
         "left": tuple(m for m in masks if not left[m] & ~m),
         "right": tuple(m for m in masks if not right[m] & ~m),
         "quasi": tuple(m for m in masks if not right[m] & left[m] & ~m),
-        "bi": bi,
     }
 
 
 def ideal_masks(s, kind):
-    """All ideals of one kind as bitmasks, ascending; cached per structure."""
+    """All ideals of one kind as bitmasks, ascending; cached per structure.
+
+    The bi-ideals are built on their own request; the right, left and
+    quasi-ideals together on the first request of any of them.  Each build
+    holds at most two union tables over all 2^n subsets, dropped when it
+    returns.
+    """
     if kind not in IDEAL_KINDS:
         raise ValueError(f"unknown ideal kind: {kind!r}")
     if s.n > SUBSET_ENUM_CAP:
@@ -279,8 +300,8 @@ def ideal_masks(s, kind):
             f"carrier size {s.n} exceeds the subset enumeration cap"
             f" {SUBSET_ENUM_CAP}"
         )
-    if not s._ideals:
-        s._ideals.update(_ideal_families(s))
+    if kind not in s._ideals:
+        s._ideals.update(_bi_family(s) if kind == "bi" else _one_sided_families(s))
     return s._ideals[kind]
 
 
@@ -359,42 +380,13 @@ def _outside(s, t, y, m, x):
     return not ymx >> t & 1
 
 
-def condition_scan(s, kind):
-    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
-    left ideals Y, by scanning every triple of the ideal families.
-
-    Returns True, or the first ConditionWitness in ascending bitmask order of
-    the triple (X, M, Y), with the least violating element.  This is the
-    oracle `condition_holds` is held to; like every family user it refuses
-    carriers above SUBSET_ENUM_CAP.
-    """
-    _check_condition_kind(kind)
-    rights = ideal_masks(s, "right")
-    mids = ideal_masks(s, kind)
-    lefts = ideal_masks(s, "left")
-    for x in rights:
-        for m in mids:
-            xm = x & m
-            if not xm:
-                continue
-            for y in lefts:
-                inter = xm & y
-                if not inter:
-                    continue
-                ymx = downward_closure(s, set_product(s, set_product(s, y, m), x))
-                bad = inter & ~ymx
-                if bad:
-                    elem = (bad & -bad).bit_length() - 1
-                    return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
-    return True
-
-
 def condition_holds(s, kind):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
     left ideals Y, from the ideals R(t), M(t), L(t) generated by single
     elements; no ideal family is built, so any carrier size is accepted.
 
-    Returns True, or the witness `condition_scan` finds.  A violating t of
+    Returns True, or the first failing triple in ascending bitmask order of
+    (X, M, Y), with the least violating element.  A violating t of
     a triple has R(t) <= X, M(t) <= M and L(t) <= Y, so it is not in
     (L(t) M(t) R(t)]; the condition therefore holds exactly when every t
     lies in its principal (L(t) M(t) R(t)].  The first failing triple is,
@@ -417,6 +409,68 @@ def condition_holds(s, kind):
     bad = xm & y & ~downward_closure(s, set_product(s, set_product(s, y, m), x))
     elem = (bad & -bad).bit_length() - 1
     return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
+
+
+@lru_cache(maxsize=1)
+def _table_products(table):
+    """The order-free part of `theorem1_flags` for one table (nested tuples,
+    the cache key): the row union tables rows[i][m] = {i*j : j in m}, the
+    elements of every mask, the one-element masks, and for every element t
+    the masks tS, St, tSt and S t^2 S.  Campaigns take every order of a
+    table in a row, so one cached table serves them all."""
+    n = len(table)
+    full = (1 << n) - 1
+    rows = [_union_tables([1 << v for v in row]) for row in table]
+    members = [subset_indices(m) for m in range(full + 1)]
+
+    def product(a, b):
+        out = 0
+        for i in members[a]:
+            out |= rows[i][b]
+        return out
+
+    ts = [row[full] for row in rows]
+    st = [product(full, 1 << t) for t in range(n)]
+    tst = [product(a, 1 << t) for t, a in enumerate(ts)]
+    sa2s = [product(full, ts[table[a][a]]) for a in range(n)]
+    return rows, members, [1 << i for i in range(n)], ts, st, tst, sa2s
+
+
+def theorem1_flags(table, leq):
+    """(c1, c2, c3) of the ordered semigroup (table, leq): the truth values
+    `verify_theorem1` reports, without witnesses or an OrderedSemigroup.
+
+    The table decides every product and the order enters only through the
+    closure table down[m] = (m], so the products come once per table from
+    `_table_products` and each order costs one closure table.  With
+    R(t) = (t u tS], L(t) = (t u St] and M(t) = (t u tSt] (bi) or
+    (t u ((tS] n (St])] (quasi), c2 and c3 hold iff every t lies in
+    (L(t) M(t) R(t)], as in `condition_holds`; c1 holds iff every a lies in
+    (S a^2 S].
+    """
+    rows, members, bits, ts, st, tst, sa2s = _table_products(table)
+    rng = range(len(table))
+    down = _union_tables([sum(compress(bits, col)) for col in zip(*leq)])
+    right = [down[1 << t | ts[t]] for t in rng]
+    left = [down[1 << t | st[t]] for t in rng]
+
+    def holds(mid):
+        for t in rng:
+            lm = 0
+            for i in members[left[t]]:
+                lm |= rows[i][mid[t]]
+            lmr = 0
+            for i in members[lm]:
+                lmr |= rows[i][right[t]]
+            if not down[lmr] >> t & 1:
+                return False
+        return True
+
+    return (
+        all(down[sa2s[a]] >> a & 1 for a in rng),
+        holds([down[1 << t | tst[t]] for t in rng]),
+        holds([down[1 << t | (down[ts[t]] & down[st[t]])] for t in rng]),
+    )
 
 
 def verify_theorem1(s):

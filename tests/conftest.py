@@ -2,12 +2,20 @@ from pathlib import Path
 
 import pytest
 
-from posemi import LeSemigroup, OrderedSemigroup
+from posemi import (
+    ConditionWitness,
+    LeSemigroup,
+    OrderedSemigroup,
+    downward_closure,
+    ideal_masks,
+    set_product,
+)
 from posemi.enumeration import (
     EnumerationConfig,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
 )
+from posemi.ordered import _check_condition_kind
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,6 +29,36 @@ def relabeled(mat, p, values=True):
     at = {(p[i], p[j]): v for i, row in enumerate(mat) for j, v in enumerate(row)}
     rng = range(len(p))
     return tuple(tuple(p[at[i, j]] if values else at[i, j] for j in rng) for i in rng)
+
+
+def condition_scan(s, kind):
+    """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
+    left ideals Y, by scanning every triple of the ideal families.
+
+    Returns True, or the first ConditionWitness in ascending bitmask order of
+    the triple (X, M, Y), with the least violating element.  This is the
+    oracle `condition_holds` is held to; like every family user it refuses
+    carriers above SUBSET_ENUM_CAP.
+    """
+    _check_condition_kind(kind)
+    rights = ideal_masks(s, "right")
+    mids = ideal_masks(s, kind)
+    lefts = ideal_masks(s, "left")
+    for x in rights:
+        for m in mids:
+            xm = x & m
+            if not xm:
+                continue
+            for y in lefts:
+                inter = xm & y
+                if not inter:
+                    continue
+                ymx = downward_closure(s, set_product(s, set_product(s, y, m), x))
+                bad = inter & ~ymx
+                if bad:
+                    elem = (bad & -bad).bit_length() - 1
+                    return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
+    return True
 
 
 def make_n2():

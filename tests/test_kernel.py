@@ -1,0 +1,111 @@
+"""The theorem1 campaign path against the per-structure answers.
+
+Campaigns check (table, order) pairs with the per-table kernel
+`theorem1_flags` and, on iso streams, take the bare `canon.ordered_digest`
+of each pair as its id.  The kernel must give the (c1, c2, c3) that
+`verify_theorem1` reports, and the digest must equal `ordered_structure_id`,
+on the order-<=4 iso universe, the raw order-3 universe and a stride of the
+order-5 iso stream.  The kernel must also agree on orders that are not
+compatible, where the three answers can differ.  Reversing the multiplication (S^op, same order) swaps
+left and right ideals and reverses products, so it leaves c1, c2 and c3
+unchanged: a second check on the kernel that shares no ideal code with it.
+"""
+
+import itertools
+
+import pytest
+
+from posemi import OrderedSemigroup, ordered_structure_id, verify_theorem1
+from posemi.canon import ordered_digest
+from posemi.enumeration import (
+    EnumerationConfig,
+    all_posets,
+    associative_tables,
+    ordered_pairs,
+)
+from posemi.ordered import theorem1_flags
+
+# every ORDER5_STRIDE-th structure of the order-5 iso stream: 2,050 of
+# 198,838; walking the stream is most of the test's time
+ORDER5_STRIDE = 97
+
+
+def _pairs(max_order, dedup="up_to_iso"):
+    return [
+        pair
+        for n in range(1, max_order + 1)
+        for pair in ordered_pairs(EnumerationConfig(order=n, dedup=dedup))
+    ]
+
+
+@pytest.fixture(scope="module")
+def iso4():
+    return _pairs(4)
+
+
+@pytest.fixture(scope="module")
+def iso5_stride():
+    cfg = EnumerationConfig(order=5, dedup="up_to_iso", shard=(0, ORDER5_STRIDE))
+    return list(ordered_pairs(cfg))
+
+
+def assert_kernel_agrees(pairs):
+    got = [theorem1_flags(table, leq) for table, leq in pairs]
+    reports = [verify_theorem1(OrderedSemigroup(table, leq)) for table, leq in pairs]
+    assert got == [(r.c1, r.c2, r.c3) for r in reports]
+    # both answers occur, for each condition
+    assert all(0 < sum(flags) < len(got) for flags in zip(*got))
+
+
+def test_kernel_iso_order_4(iso4):
+    assert len(iso4) == 4938
+    assert_kernel_agrees(iso4)
+
+
+def test_kernel_raw_order_3():
+    assert_kernel_agrees(_pairs(3, dedup="none"))
+
+
+def test_kernel_iso_order_5_stride(iso5_stride):
+    assert len(iso5_stride) == 2050
+    assert_kernel_agrees(iso5_stride)
+
+
+def test_kernel_on_orders_outside_the_theorem():
+    # On a compatible order c2 and c3 always equal c1, and so would any
+    # M(t) between (t] and (t u tS u St]: every such triple product puts
+    # t^2 in each product.  With every order of a table, compatible or
+    # not, the three answers differ, so these cases check how the kernel
+    # builds R(t), M(t) and L(t).  Every labeled order-3 case and every
+    # 97th order-4 case.
+    cases = [
+        *itertools.product(associative_tables(3), all_posets(3)),
+        *itertools.islice(
+            itertools.product(associative_tables(4), all_posets(4)), 0, None, 97
+        ),
+    ]
+    assert len(cases) == 113 * 19 + 7884
+    assert_kernel_agrees(cases)
+    flags = {theorem1_flags(table, leq) for table, leq in cases}
+    assert {(False, True, True), (False, False, True)} <= flags
+
+
+def test_kernel_reversal_symmetry(iso4):
+    for table, leq in iso4:
+        reversed_table = tuple(zip(*table))
+        assert theorem1_flags(reversed_table, leq) == theorem1_flags(table, leq), (
+            table,
+            leq,
+        )
+
+
+def test_digest_is_the_id_on_iso_streams(iso4, iso5_stride):
+    for table, leq in iso4 + iso5_stride:
+        assert ordered_digest(table, leq) == ordered_structure_id(table, leq)
+
+
+def test_digest_is_not_the_id_off_canonical_form():
+    # the raw stream holds non-canonical labelings, whose digest differs
+    raw = _pairs(3, dedup="none")
+    differ = sum(ordered_digest(t, o) != ordered_structure_id(t, o) for t, o in raw)
+    assert 0 < differ < len(raw)

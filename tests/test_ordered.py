@@ -8,7 +8,6 @@ from posemi import (
     OrderedSemigroup,
     classify_subset,
     condition_holds,
-    condition_scan,
     downward_closure,
     gen_ideal,
     ideal_masks,
@@ -21,9 +20,17 @@ from posemi import (
     validate,
     verify_theorem1,
 )
+from posemi import ordered
 from posemi.enumeration import EnumerationConfig, enumerate_ordered_semigroups
 
-from conftest import _ordered_universe, make_n2, make_one, make_s2l, make_z2
+from conftest import (
+    _ordered_universe,
+    condition_scan,
+    make_n2,
+    make_one,
+    make_s2l,
+    make_z2,
+)
 
 FULL2 = 0b11
 
@@ -159,6 +166,24 @@ class TestOracle:
         one = make_one()
         for kind in ("left", "right", "quasi", "bi"):
             assert least_ideal_oracle(one, 0b1, kind) == 0b1
+
+    def test_families_built_on_request(self, monkeypatch, n2):
+        # the one-sided kinds share one build and never build the bi-ideals
+        builds = []
+        one_sided = ordered._one_sided_families
+
+        def counted(s):
+            builds.append(s)
+            return one_sided(s)
+
+        def refuse(s):
+            raise AssertionError("bi family built")
+
+        monkeypatch.setattr(ordered, "_one_sided_families", counted)
+        monkeypatch.setattr(ordered, "_bi_family", refuse)
+        for kind in ("quasi", "left", "right"):
+            least_ideal_oracle(n2, 0b10, kind)
+        assert builds == [n2]
 
     def test_cap_enforced(self):
         # 13 elements: one past SUBSET_ENUM_CAP; the left-zero band xy = x

@@ -18,7 +18,6 @@ from posemi import (
     OrderedSemigroup,
     classify_subset,
     condition_holds,
-    condition_scan,
     ideal_masks,
     is_intra_regular,
     le_condition_holds,
@@ -34,7 +33,13 @@ from posemi.enumeration import (
     enumerate_ordered_semigroups,
 )
 
-from conftest import _le_universe, _ordered_universe, make_l3null, make_n2
+from conftest import (
+    _le_universe,
+    _ordered_universe,
+    condition_scan,
+    make_l3null,
+    make_n2,
+)
 
 KINDS = ("bi", "quasi")
 
