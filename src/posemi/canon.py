@@ -147,7 +147,12 @@ def ordered_structure_id(table, leq):
     return ordered_digest(*canonical_ordered(table, leq))
 
 
+def le_digest(table, join, meet):
+    """`ordered_digest` for (table, join, meet): `le_structure_id` of a
+    structure that is its own canonical form."""
+    return _digest({"kind": "le_semigroup", "table": table, "join": join, "meet": meet})
+
+
 def le_structure_id(table, join, meet):
     """Relabeling-invariant id of a lattice-ordered semigroup."""
-    t, j, m = canonical_le(table, join, meet)
-    return _digest({"kind": "le_semigroup", "table": t, "join": j, "meet": m})
+    return le_digest(*canonical_le(table, join, meet))

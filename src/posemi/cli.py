@@ -2,12 +2,12 @@
 and inspect single structure files.
 
 Campaign report streams are deterministic: one tab-separated line per
-structure (id, c1, c2, c3, ok) followed by a summary comment.  One stream
-builder (`_stream`) feeds both `enumerate` and `verify`, and one per-scope
-check (`_check`) makes the line of `verify --file` and of every theorem2
-and remark campaign structure; only the file path formats and prints the
-witness lines.  theorem1 campaigns print no witness, so they take the
-(table, order) pairs straight to the per-table kernel (`_theorem1_lines`).
+structure (id, c1, c2, c3, ok) followed by a summary comment.  Every scope's
+campaign runs through `_campaign`, which shards among the in-scope
+structures and builds each line with `_line`, as `verify --file` does; only
+the file path prints witness lines.  `_id_rule` alone decides ids: the bare
+digest on iso campaigns, whose structures are their own canonical forms,
+and the canonical id everywhere else.  `_stream` feeds `enumerate`.
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
 status 2.
@@ -25,8 +25,8 @@ from pathlib import Path
 from . import canon, enumeration, le, ordered, storage
 
 
-def _fmt_bool(b):
-    return "true" if b else "false"
+def _fmt_bool(b):  # None is the remark scope's c3
+    return "-" if b is None else "true" if b else "false"
 
 
 def _parse_shard(text):
@@ -125,55 +125,56 @@ def _stream(kind, order, dedup, limit=None, shard=None):
         yield from enumeration.enumerate_le_semigroups(cfg)
 
 
-def _in_scope(scope, s):
-    """s as the scope checks it, or None when it does not apply: theorem1
-    takes any ordered semigroup, theorem2 a LeSemigroup, and remark a
-    PoeSemigroup, built here when s has a greatest element."""
-    if scope == "theorem1":
-        return s
-    if scope == "theorem2":
-        return s if isinstance(s, le.LeSemigroup) else None
-    if isinstance(s, le.PoeSemigroup):
-        return s
-    top = le.greatest(s.leq)
-    return None if top is None else le.PoeSemigroup(s.table, s.leq, top=top)
-
-
-def _check(scope, s, label=str):
-    """(line, ok, witness lines) for one structure of the scope: the line
-    is `id c1 c2 c3 ok`, with `-` for c3 in the remark scope.  The witness
-    lines are a generator, formatted (elements named by label) only when
-    iterated."""
+def _check(scope, s):
+    """(flags, ok, failed) for one structure: c1, c2 and c3 (None for c3 in
+    the remark scope), ok, and the (condition, witness) pairs that failed."""
     if scope == "remark":
         res = le.check_remark(s)
         ok = res is True
-        sid = canon.ordered_structure_id(s.table, s.leq)
-        flags = [_fmt_bool(le.is_intra_regular_poe(s)), _fmt_bool(ok), "-"]
-        found = () if ok else (("remark", res),)
-    else:
-        verify = ordered.verify_theorem1 if scope == "theorem1" else le.verify_theorem2
-        report = verify(s)
-        sid, ok, found = report.structure_id, report.equivalence_ok, report.witnesses
-        flags = [_fmt_bool(v) for v in (report.c1, report.c2, report.c3)]
-    line = "\t".join([sid, *flags, _fmt_bool(ok)])
-    return line, ok, (f"# witness {c} {_witness_str(c, w, label)}" for c, w in found)
+        failed = () if ok else (("remark", res),)
+        return (le.is_intra_regular_poe(s), ok, None), ok, failed
+    verify = ordered.verify_theorem1 if scope == "theorem1" else le.verify_theorem2
+    report = verify(s)
+    return (report.c1, report.c2, report.c3), report.equivalence_ok, report.witnesses
 
 
-def _theorem1_lines(max_order, dedup, start, step):
-    """(line, ok) for the theorem1 campaign structures at positions start,
-    start + step, ... of the stream; the lines `_check` makes, with the
-    flags from the per-table kernel.  A structure of an iso stream is its
-    own canonical form, so its id is the digest of (table, leq) itself."""
-    sid = canon.ordered_digest if dedup == "iso" else canon.ordered_structure_id
-    pairs = (
-        pair
-        for n in range(1, max_order + 1)
-        for pair in enumeration.ordered_pairs(_config(n, dedup))
-    )
-    for table, leq in islice(pairs, start, None, step):
-        flags = ordered.theorem1_flags(table, leq)
-        ok = flags[0] == flags[1] == flags[2]
-        yield "\t".join([sid(table, leq), *map(_fmt_bool, flags), _fmt_bool(ok)]), ok
+def _id_rule(scope, iso):
+    """The scope's id function of `_parts`: on an iso campaign every
+    structure is its own canonical form, so the bare digest is its id."""
+    if scope == "theorem2":
+        return canon.le_digest if iso else canon.le_structure_id
+    return canon.ordered_digest if iso else canon.ordered_structure_id
+
+
+def _parts(scope, s):
+    """(table, join, meet) for theorem2, else (table, leq), whatever s is."""
+    return (s.table, s.join, s.meet) if scope == "theorem2" else (s.table, s.leq)
+
+
+def _line(sid, flags, ok):
+    return "\t".join([sid, *map(_fmt_bool, flags), _fmt_bool(ok)])
+
+
+def _campaign(scope, max_order, dedup, start, step):
+    """(line, ok) for the in-scope structures of orders 1..max_order at
+    positions start, start + step, ...: (table, leq) pairs (for remark those
+    with a greatest element), or le-semigroups for theorem2."""
+    sid = _id_rule(scope, dedup == "iso")
+    stream = enumeration.ordered_pairs
+    if scope == "theorem2":
+        stream = enumeration.enumerate_le_semigroups
+    items = (x for n in range(1, max_order + 1) for x in stream(_config(n, dedup)))
+    if scope == "remark":  # (table, leq, top), for the orders with a greatest element
+        items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
+    for item in islice(items, start, None, step):
+        if scope == "theorem1":
+            parts, flags = item, ordered.theorem1_flags(*item)
+            ok = flags[0] == flags[1] == flags[2]
+        else:
+            s = le.PoeSemigroup(*item) if scope == "remark" else item
+            parts = _parts(scope, s)
+            flags, ok, _ = _check(scope, s)
+        yield _line(sid(*parts), flags, ok), ok
 
 
 def _witness_str(cond, w, label):
@@ -196,12 +197,18 @@ def cmd_verify(args):
         if args.max_order is not None or args.shard or args.dedup == "iso":
             return _usage_error("--file takes no --max-order, --shard or --dedup iso")
         loaded = storage.load(args.file)
-        s = _in_scope(args.scope, loaded.structure)
-        if s is None:
-            need = {"theorem2": "le_semigroup file", "remark": "greatest element"}
-            return _usage_error(f"{args.scope} requires a {need[args.scope]}")
-        line, ok, witnesses = _check(args.scope, s, loaded.label)
-        print(line, *witnesses, f"# checked=1 failures={0 if ok else 1}", sep="\n")
+        s = loaded.structure
+        if args.scope == "theorem2" and not isinstance(s, le.LeSemigroup):
+            return _usage_error("theorem2 requires a le_semigroup file")
+        if args.scope == "remark" and not isinstance(s, le.PoeSemigroup):
+            if le.greatest(s.leq) is None:
+                return _usage_error("remark requires a greatest element")
+            s = le.PoeSemigroup(s.table, s.leq)
+        flags, ok, failed = _check(args.scope, s)
+        print(_line(_id_rule(args.scope, False)(*_parts(args.scope, s)), flags, ok))
+        for c, w in failed:
+            print(f"# witness {c} {_witness_str(c, w, loaded.label)}")
+        print(f"# checked=1 failures={0 if ok else 1}")
         return 0 if ok else 1
     if args.max_order is None:
         return _usage_error("--max-order is required without --file")
@@ -217,22 +224,9 @@ def cmd_verify(args):
             f" {canon.DEDUP_CAP}"
         )
     start, step = args.shard or (0, 1)
-    if args.scope == "theorem1":
-        lines = _theorem1_lines(args.max_order, args.dedup, start, step)
-    else:
-        kind = "le" if args.scope == "theorem2" else "ordered"
-        structures = (
-            _in_scope(args.scope, s)
-            for n in range(1, args.max_order + 1)
-            for s in _stream(kind, n, args.dedup)
-        )
-        lines = (
-            _check(args.scope, s)[:2]
-            for s in islice(filter(None, structures), start, None, step)
-        )
     checked = 0
     failed = []
-    for line, ok in lines:
+    for line, ok in _campaign(args.scope, args.max_order, args.dedup, start, step):
         print(line)
         checked += 1
         if not ok:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import le_structure_id
 from .ordered import OrderedSemigroup, _check_condition_kind, validate
 from .report import VerificationReport
 
@@ -315,7 +314,6 @@ def verify_theorem2(L):
     """Check that intra-regularity and both element-triple conditions agree
     on one lattice-ordered semigroup."""
     return VerificationReport.of(
-        le_structure_id(L.table, L.join, L.meet),
         is_intra_regular_poe(L),
         le_condition_holds(L, "bi"),
         le_condition_holds(L, "quasi"),

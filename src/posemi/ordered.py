@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .canon import ordered_structure_id
 from .report import VerificationReport
 
 SUBSET_ENUM_CAP = 12
@@ -477,7 +476,6 @@ def verify_theorem1(s):
     """Check that intra-regularity and both ideal-triple conditions agree on
     one structure; failing conditions carry witnesses in the report."""
     return VerificationReport.of(
-        ordered_structure_id(s.table, s.leq),
         is_intra_regular(s),
         condition_holds(s, "bi"),
         condition_holds(s, "quasi"),

@@ -14,7 +14,6 @@ class VerificationReport:
     pairs for whichever conditions failed.
     """
 
-    structure_id: str
     c1: bool
     c2: bool
     c3: bool
@@ -26,9 +25,9 @@ class VerificationReport:
             raise ValueError("equivalence_ok must equal (c1 == c2 == c3)")
 
     @classmethod
-    def of(cls, structure_id, c1, r2, r3):
+    def of(cls, c1, r2, r3):
         """Report from c1 and the c2/c3 condition results, each True or the
         first failing witness."""
         c2, c3 = r2 is True, r3 is True
         witnesses = tuple((c, r) for c, r in (("c2", r2), ("c3", r3)) if r is not True)
-        return cls(structure_id, c1, c2, c3, c1 == c2 == c3, witnesses)
+        return cls(c1, c2, c3, c1 == c2 == c3, witnesses)

@@ -17,6 +17,8 @@ from posemi import (
     ideal_masks,
     least_element_oracle,
     least_ideal_oracle,
+    le_structure_id,
+    ordered_structure_id,
     set_product,
     verify_theorem1,
     verify_theorem2,
@@ -45,7 +47,7 @@ def test_criterion_1_theorem1_exhaustive(ordered_universe_4):
     for s in ordered_universe_4:
         r = verify_theorem1(s)
         if not r.equivalence_ok:
-            failures.append(r.structure_id)
+            failures.append(ordered_structure_id(s.table, s.leq))
     report(
         "criterion 1: set-level equivalence, order <= 4",
         failures,
@@ -60,7 +62,7 @@ def test_criterion_2_theorem2_exhaustive(le_universe_4):
     for L in le_universe_4:
         r = verify_theorem2(L)
         if not r.equivalence_ok:
-            failures.append(r.structure_id)
+            failures.append(le_structure_id(L.table, L.join, L.meet))
     report(
         "criterion 2: element-level equivalence, order <= 4",
         failures,
@@ -75,13 +77,13 @@ def test_criterion_3_generator_oracle_equivalence(ordered_universe_4, le_univers
         for x in nonempty_masks(s):
             for kind in ("left", "right", "quasi", "bi"):
                 if gen_ideal(s, x, kind) != least_ideal_oracle(s, x, kind):
-                    failures.append((verify_theorem1(s).structure_id, x, kind))
+                    failures.append((ordered_structure_id(s.table, s.leq), x, kind))
     checked = sum(s.full * 4 for s in ordered_universe_4)
     for L in le_universe_4:
         for a in range(L.n):
             for kind in ("left", "right", "quasi", "bi"):
                 if gen_element(L, a, kind) != least_element_oracle(L, a, kind):
-                    failures.append((verify_theorem2(L).structure_id, a, kind))
+                    failures.append((le_structure_id(L.table, L.join, L.meet), a, kind))
     checked += sum(L.n * 4 for L in le_universe_4)
     report("criterion 3: generators equal oracles", failures, f"{checked} cases")
 

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from posemi import canonical_le, canonical_ordered
-from posemi.canon import cmp_relabeled, relabel, relabelings
+from posemi import canonical_le, canonical_ordered, le_structure_id
+from posemi.canon import cmp_relabeled, le_digest, relabel, relabelings
 from posemi.enumeration import (
     EnumerationConfig,
     enumerate_le_semigroups,
@@ -116,3 +116,27 @@ class TestCanonicalFormsMatchBruteForce:
             got = canonical_le(*mats)
             assert got == brute_canonical_le(*mats)
             assert got == (L.table, L.join, L.meet)
+
+
+class TestLeDigest:
+    """An iso campaign takes the bare `le_digest` of each le structure as
+    its id: every structure of an iso stream is its own canonical form."""
+
+    def test_is_the_id_on_iso_streams(self, le_universe_4):
+        # a prefix of every 97th order-5 structure: the rest of the order-5
+        # stream costs seconds, and CI pins the whole order-5 theorem2 stream
+        cfg = EnumerationConfig(order=5, dedup="up_to_iso", shard=(0, 97), limit=25)
+        stride = list(enumerate_le_semigroups(cfg))
+        assert len(le_universe_4) == 530 and len(stride) == 25
+        for L in le_universe_4 + stride:
+            parts = L.table, L.join, L.meet
+            assert le_digest(*parts) == le_structure_id(*parts)
+
+    def test_is_not_the_id_off_canonical_form(self):
+        # the raw stream holds non-canonical labelings, whose digest differs
+        raw = [
+            (L.table, L.join, L.meet)
+            for L in enumerate_le_semigroups(EnumerationConfig(order=3))
+        ]
+        differ = sum(le_digest(*p) != le_structure_id(*p) for p in raw)
+        assert 0 < differ < len(raw)

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import posemi
+from posemi import (
+    enumeration,
+    le,
+    le_structure_id,
+    load,
+    ordered,
+    ordered_structure_id,
+)
 from posemi.cli import main
+from posemi.enumeration import EnumerationConfig
 
 from conftest import FIXTURES, GOLDEN
 
@@ -272,6 +281,65 @@ class TestVerifyCampaign:
             assert err == "error: --max-order 3 exceeds the canonicalization cap 2\n"
 
 
+class TestCampaignFailure:
+    """A structure on which the scope's check disagrees gets an ok=false
+    line, a `# FAILED <id>` line after the structure lines, failures=1 in
+    the summary and exit status 1."""
+
+    ISO2 = EnumerationConfig(order=2, dedup="up_to_iso")
+
+    def assert_one_failure(self, capsys, scope, sid):
+        argv = ["verify", scope, "--max-order", "2", "--dedup", "iso"]
+        code, out, _ = run(capsys, argv)
+        lines = out.rstrip("\n").split("\n")
+        body, tail = lines[:-2], lines[-2:]
+        assert not any(line.startswith("#") for line in body)
+        failing = [line for line in body if line.endswith("\tfalse")]
+        assert [line.split("\t", 1)[0] for line in failing] == [sid]
+        assert tail == [f"# FAILED {sid}", f"# checked={len(body)} failures=1"]
+        assert code == 1
+
+    def test_theorem1(self, capsys, monkeypatch):
+        *_, target = enumeration.ordered_pairs(self.ISO2)
+        kernel = ordered.theorem1_flags
+
+        def flags(table, leq):
+            c1, c2, c3 = kernel(table, leq)
+            if (table, leq) == target:
+                c3 = not c3
+            return c1, c2, c3
+
+        monkeypatch.setattr(ordered, "theorem1_flags", flags)
+        self.assert_one_failure(capsys, "theorem1", ordered_structure_id(*target))
+
+    def test_theorem2(self, capsys, monkeypatch):
+        *_, target = enumeration.enumerate_le_semigroups(self.ISO2)
+        holds = le.le_condition_holds
+
+        def condition(L, kind):
+            res = holds(L, kind)
+            if kind != "quasi" or L != target:
+                return res
+            return le.ElementWitness(x=0, m=0, y=0) if res is True else True
+
+        monkeypatch.setattr(le, "le_condition_holds", condition)
+        sid = le_structure_id(target.table, target.join, target.meet)
+        self.assert_one_failure(capsys, "theorem2", sid)
+
+    def test_remark(self, capsys, monkeypatch):
+        pairs = enumeration.ordered_pairs(self.ISO2)
+        *_, target = (p for p in pairs if le.greatest(p[1]) is not None)
+        check = le.check_remark
+
+        def remark(s):
+            if (s.table, s.leq) == target:
+                return le.ElementWitness(x=0, m=0, y=0)
+            return check(s)
+
+        monkeypatch.setattr(le, "check_remark", remark)
+        self.assert_one_failure(capsys, "remark", ordered_structure_id(*target))
+
+
 class TestEnumerateCommand:
     def test_stdout_stream_counts(self, capsys):
         code, out, _ = run(
@@ -317,6 +385,20 @@ class TestEnumerateCommand:
 
         for f in files:
             load(f)  # must all be valid
+
+    def test_out_dir_le_names_files_by_le_id(self, capsys, tmp_path):
+        outdir = tmp_path / "le"
+        code, _, _ = run(
+            capsys, ["enumerate", "--kind", "le", "--order", "2", "--out", str(outdir)]
+        )
+        assert code == 0
+        names = sorted(f.name for f in outdir.glob("*.json"))
+        want = []
+        for i, name in enumerate(names):
+            L = load(outdir / name).structure
+            want.append(f"{i:06d}-{le_structure_id(L.table, L.join, L.meet)}.json")
+        assert len(names) == 12
+        assert names == want
 
     def test_out_onto_existing_file(self, capsys, tmp_path):
         target = tmp_path / "some-file.json"

@@ -233,6 +233,20 @@ class TestVerifyTheorem2:
     def test_one_element(self):
         assert verify_theorem2(make_one_le()).equivalence_ok
 
+    def test_reversal_symmetry(self, le_universe_4):
+        # Reversing the multiplication (same lattice) swaps right and left
+        # ideal elements and reverses products, so x ^ m ^ y <= y*m*x maps
+        # onto itself and so does a <= e*a^2*e: no flag may change.
+        flags = []
+        for L in le_universe_4:
+            r = verify_theorem2(L)
+            op = LeSemigroup(tuple(zip(*L.table)), L.join, L.meet, L.top)
+            r_op = verify_theorem2(op)
+            assert (r_op.c1, r_op.c2, r_op.c3) == (r.c1, r.c2, r.c3), L.table
+            flags.append((r.c1, r.c2, r.c3))
+        # both verdicts occur
+        assert {(True, True, True), (False, False, False)} <= set(flags)
+
 
 class TestGeneratedQuasiChain:
     """g = a v (ae ^ ea) satisfies ge ^ eg = ae ^ ea <= g, dominates a, and
