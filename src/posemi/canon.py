@@ -49,7 +49,8 @@ def _check_cap(n):
         )
 
 
-def _flat(mat):
+def row_major(mat):
+    """A matrix as the list of its cells in row-major order."""
     # lists, not tuples: short-lived 9- and 16-cell tuples would fill the
     # interpreter's tuple free lists and stay resident (about 0.5 MB)
     return list(itertools.chain.from_iterable(mat))
@@ -79,7 +80,7 @@ def cmp_relabeled(parts, perm, src, refs):
 def is_least(parts, perms):
     """True when no (perm, src) in perms relabels the (matrix, values) parts
     to something smaller; the enumeration's canonicity test."""
-    flat = [(_flat(mat), values) for mat, values in parts]
+    flat = [(row_major(mat), values) for mat, values in parts]
     refs = [cells for cells, _ in flat]
     return all(cmp_relabeled(flat, perm, src, refs) >= 0 for perm, src in perms)
 
@@ -105,7 +106,7 @@ def _least_table(table):
     relabeling.  Ordered streams yield all orders of one table in a row, so
     one cached table serves them all."""
     _check_cap(len(table))
-    return _least(((_flat(table), True),), relabelings(len(table)))
+    return _least(((row_major(table), True),), relabelings(len(table)))
 
 
 def _canonical(table, *rest):
@@ -122,12 +123,12 @@ def _canonical(table, *rest):
 
 def canonical_ordered(table, leq):
     """Least relabeling of (table, leq); the table part is compared first."""
-    return _canonical(table, (list(map(bool, _flat(leq))), False))
+    return _canonical(table, (list(map(bool, row_major(leq))), False))
 
 
 def canonical_le(table, join, meet):
     """Least relabeling of (table, join, meet), compared in that order."""
-    return _canonical(table, (_flat(join), True), (_flat(meet), True))
+    return _canonical(table, (row_major(join), True), (row_major(meet), True))
 
 
 def _digest(payload):

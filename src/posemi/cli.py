@@ -7,7 +7,8 @@ campaign runs through `_campaign`, which shards among the in-scope
 structures and builds each line with `_line`, as `verify --file` does; only
 the file path prints witness lines.  `_id_rule` alone decides ids: the bare
 digest on iso campaigns, whose structures are their own canonical forms,
-and the canonical id everywhere else.  `_stream` feeds `enumerate`.
+and the canonical id everywhere else, which raw theorem2 campaigns take
+from each structure's isomorphic source.  `_stream` feeds `enumerate`.
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
 status 2.
@@ -158,23 +159,35 @@ def _line(sid, flags, ok):
 def _campaign(scope, max_order, dedup, start, step):
     """(line, ok) for the in-scope structures of orders 1..max_order at
     positions start, start + step, ...: (table, leq) pairs (for remark those
-    with a greatest element), or le-semigroups for theorem2."""
+    with a greatest element), or for theorem2 le structures with their
+    sources.  theorem1 and theorem2 go straight to their kernels; a
+    theorem2 line takes the id of its source, computed once per source and
+    kept for the current order only."""
     sid = _id_rule(scope, dedup == "iso")
-    stream = enumeration.ordered_pairs
-    if scope == "theorem2":
-        stream = enumeration.enumerate_le_semigroups
-    items = (x for n in range(1, max_order + 1) for x in stream(_config(n, dedup)))
+    orders = range(1, max_order + 1)
+    stream = enumeration.le_sources if scope == "theorem2" else enumeration.ordered_pairs
+    items = (x for n in orders for x in stream(_config(n, dedup)))
     if scope == "remark":  # (table, leq, top), for the orders with a greatest element
         items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
+    ids, order = {}, 0  # theorem2: source -> id, for the sources of one order
     for item in islice(items, start, None, step):
-        if scope == "theorem1":
-            parts, flags = item, ordered.theorem1_flags(*item)
-            ok = flags[0] == flags[1] == flags[2]
-        else:
-            s = le.PoeSemigroup(*item) if scope == "remark" else item
-            parts = _parts(scope, s)
+        if scope == "remark":
+            s = le.PoeSemigroup(*item)
             flags, ok, _ = _check(scope, s)
-        yield _line(sid(*parts), flags, ok), ok
+            yield _line(sid(*_parts(scope, s)), flags, ok), ok
+            continue
+        if scope == "theorem1":
+            item_id, flags = sid(*item), ordered.theorem1_flags(*item)
+        else:
+            structure, source = item
+            if len(source[0]) != order:
+                ids, order = {}, len(source[0])
+            item_id = ids.get(source)
+            if item_id is None:
+                item_id = ids[source] = sid(*source)
+            flags = le.theorem2_flags(*structure)
+        ok = flags[0] == flags[1] == flags[2]
+        yield _line(item_id, flags, ok), ok
 
 
 def _witness_str(cond, w, label):

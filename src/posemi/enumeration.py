@@ -5,8 +5,9 @@ row-major order.  Its pruning is complete: every associativity triple is
 checked the moment its last cell is set, so a partial table survives only
 while all of its fully known triples hold and every leaf is associative.
 Join-distributive multiplications come from the same backtracker with a
-per-cell distributivity hook.  Compatible orders come from a closure walk,
-which also gives all partial orders; lattices are filtered from those.
+per-cell distributivity hook, run once per lattice class on raw streams.
+Compatible orders come from a closure walk, which also gives all partial
+orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
 structure, independent of sharding.
 
@@ -27,6 +28,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import itemgetter
 
 from . import canon
 from .le import LeSemigroup
@@ -363,21 +365,76 @@ def _join_distributive(join, n):
     return hook
 
 
-def enumerate_le_semigroups(cfg):
-    """Lattice-ordered semigroups of the configured order, ascending by
-    (lattice, multiplication); dedup keeps canonical representatives.
+def _class_relabeling(join, firsts, perms):
+    """(structures, perm, src) for the first lattice class of firsts, a
+    list of (join cells, structures), whose join a (perm, src) of perms
+    relabels onto join; None when join starts a new class.  The join
+    determines the order, meet and top, so it relabels the whole lattice."""
+    cells = canon.row_major(join)
+    for first, structures in firsts:
+        for perm, src in perms:
+            if canon.cmp_relabeled(((first, True),), perm, src, (cells,)) == 0:
+                return structures, perm, src
+    return None
+
+
+def le_sources(cfg):
+    """Each le-semigroup of `le_triples` as ((table, join, meet, top),
+    source), where source is the (table, join, meet) the structure was
+    relabeled from, and so isomorphic to it.
+
+    Relabeling a lattice by p relabels its join-distributive tables by p, so
+    the raw stream runs the search once per lattice class, on the class's
+    first labeled lattice, whose structures are their own sources.  Every
+    later lattice of the class takes those tables relabeled by a (perm, src)
+    from canon.relabelings, sorted into the search's row-major order.  The
+    iso stream searches every labeled lattice, and each structure is its
+    own source.
+    """
+    _check_order(cfg.order)
+    n = cfg.order
+    perms = canon.relabelings(n)
+
+    def iso_stream():
+        for _, join, meet, top in all_lattices(n):
+            for table, auts in _fill(n, _join_distributive(join, n), perms[1:]):
+                if canon.is_least(((join, True), (meet, True)), auts):
+                    yield (table, join, meet, top), (table, join, meet)
+
+    def raw_stream():
+        firsts = []  # (join cells, [(table cells, source)]) per class met
+        for _, join, meet, top in all_lattices(n):
+            found = _class_relabeling(join, firsts, perms)
+            if found is None:
+                own = []
+                for table, _ in _fill(n, _join_distributive(join, n)):
+                    source = (table, join, meet)
+                    own.append((canon.row_major(table), source))
+                    yield (table, join, meet, top), source
+                firsts.append((canon.row_major(join), own))
+                continue
+            structures, perm, src = found
+            moved = [(canon.relabel(cells, perm, src), s) for cells, s in structures]
+            moved.sort(key=itemgetter(0))
+            for cells, source in moved:
+                table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
+                yield (table, join, meet, top), source
+
+    stream = iso_stream if cfg.dedup == "up_to_iso" else raw_stream
+    return _finalize(stream(), cfg)
+
+
+def le_triples(cfg):
+    """(table, join, meet, top) of the configured lattice-ordered
+    semigroups, ascending by (lattice, multiplication); dedup keeps
+    canonical representatives.
 
     The canonical form compares the table first, so the search prunes on
     the table alone and (join, meet) is then minimized over the table's
     automorphisms."""
-    _check_order(cfg.order)
-    n = cfg.order
+    return (triple for triple, _ in le_sources(cfg))
 
-    def stream():
-        perms = canon.relabelings(n)[1:] if cfg.dedup == "up_to_iso" else ()
-        for leq, join, meet, top in all_lattices(n):
-            for table, auts in _fill(n, _join_distributive(join, n), perms):
-                if canon.is_least(((join, True), (meet, True)), auts):
-                    yield LeSemigroup(table, join, meet, top=top)
 
-    return _finalize(stream(), cfg)
+def enumerate_le_semigroups(cfg):
+    """The structures of `le_triples`, as LeSemigroups."""
+    return (LeSemigroup(t, j, m, top=top) for t, j, m, top in le_triples(cfg))

@@ -7,10 +7,11 @@ element when ae ^ ea exists in the order and lies below a.  On a lattice the
 generated right/left/bi/quasi elements have closed forms built from joins:
 a v ae, a v ea, a v aea and a v (ae ^ ea).
 
-`le_condition_holds` answers the element-triple conditions from those
-generated elements and runs the triple scan only to find a witness.  The
-same scan serves `check_remark` on poe-semigroups, where a triple counts
-only when its greatest lower bound exists in the order.
+`theorem2_flags` answers intra-regularity and the element-triple
+conditions from those generated elements alone; `le_condition_holds` runs
+the triple scan only to find a witness.  The same scan serves
+`check_remark` on poe-semigroups, where a triple counts only when its
+greatest lower bound exists in the order.
 """
 
 from __future__ import annotations
@@ -288,26 +289,47 @@ def le_condition_scan(L, kind):
     return _triple_scan(L, kind)
 
 
+def theorem2_flags(table, join, meet, top):
+    """(c1, c2, c3) of the lattice-ordered semigroup (table, join, meet,
+    top): the truth values `verify_theorem2` reports, without witnesses or a
+    LeSemigroup.  The order is read from the join (a <= x iff a v x = x).
+
+    With r, m and l the generated right, kind- and left ideal elements
+    (`gen_element`), a = x ^ m ^ y has r(a) <= x, m(a) <= m and l(a) <= y,
+    so a <= l(a)*m(a)*r(a) <= y*m*x; and each principal triple is one of
+    the triples.  So c2 (m bi) and c3 (m quasi) hold exactly when every a
+    satisfies a <= l(a)*m(a)*r(a); c1 holds when every a <= e*a^2*e.
+    """
+    t, e = table, top
+    te = t[e]
+    c1 = c2 = c3 = True
+    for a, ta in enumerate(t):
+        ja = join[a]  # a <= x iff ja[x] == x
+        ae, ea = ta[e], te[a]
+        tl, r = t[ja[ea]], ja[ae]  # the row of l(a) = a v ea; r(a) = a v ae
+        x = t[te[ta[a]]][e]  # e*a^2*e
+        c1 = c1 and ja[x] == x
+        x = t[tl[ja[t[ae][a]]]][r]  # l(a)*(a v aea)*r(a)
+        c2 = c2 and ja[x] == x
+        x = t[tl[ja[meet[ae][ea]]]][r]  # l(a)*(a v (ae ^ ea))*r(a)
+        c3 = c3 and ja[x] == x
+    return c1, c2, c3
+
+
 def le_condition_holds(L, kind):
     """Check x ^ m ^ y <= y*m*x for all right ideal elements x, kind
     elements m and left ideal elements y.
 
-    Returns True, or the witness `le_condition_scan` finds.  With r, m and
-    l the generated right, kind- and left ideal elements (`gen_element`),
-    a = x ^ m ^ y has r(a) <= x, m(a) <= m and l(a) <= y, so
-    a <= l(a)*m(a)*r(a) <= y*m*x; and each principal triple is one of the
-    triples.  So the condition holds exactly when every a satisfies
-    a <= l(a)*m(a)*r(a), and the scan runs only when some a does not.
+    Returns True when `theorem2_flags` says the condition holds, else the
+    witness `le_condition_scan` finds.
     """
     if not isinstance(L, LeSemigroup):
         raise TypeError("le_condition_holds requires a LeSemigroup")
     _check_condition_kind(kind)
-    t = L.table
-    for a in range(L.n):
-        lm = t[gen_element(L, a, "left")][gen_element(L, a, kind)]
-        if not L.leq[a][t[lm][gen_element(L, a, "right")]]:
-            return le_condition_scan(L, kind)
-    return True
+    _, bi, quasi = theorem2_flags(L.table, L.join, L.meet, L.top)
+    if bi if kind == "bi" else quasi:
+        return True
+    return le_condition_scan(L, kind)
 
 
 def verify_theorem2(L):

@@ -313,18 +313,17 @@ class TestCampaignFailure:
         self.assert_one_failure(capsys, "theorem1", ordered_structure_id(*target))
 
     def test_theorem2(self, capsys, monkeypatch):
-        *_, target = enumeration.enumerate_le_semigroups(self.ISO2)
-        holds = le.le_condition_holds
+        *_, target = enumeration.le_triples(self.ISO2)
+        kernel = le.theorem2_flags
 
-        def condition(L, kind):
-            res = holds(L, kind)
-            if kind != "quasi" or L != target:
-                return res
-            return le.ElementWitness(x=0, m=0, y=0) if res is True else True
+        def flags(*structure):
+            c1, c2, c3 = kernel(*structure)
+            if structure == target:
+                c3 = not c3
+            return c1, c2, c3
 
-        monkeypatch.setattr(le, "le_condition_holds", condition)
-        sid = le_structure_id(target.table, target.join, target.meet)
-        self.assert_one_failure(capsys, "theorem2", sid)
+        monkeypatch.setattr(le, "theorem2_flags", flags)
+        self.assert_one_failure(capsys, "theorem2", le_structure_id(*target[:3]))
 
     def test_remark(self, capsys, monkeypatch):
         pairs = enumeration.ordered_pairs(self.ISO2)

@@ -27,6 +27,7 @@ from posemi.enumeration import (
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
+    le_triples,
 )
 
 from conftest import GOLDEN, relabeled
@@ -269,14 +270,14 @@ class TestOrderedEnumeration:
 
 class TestLeEnumeration:
     def test_golden_counts(self):
+        # order 5 (6,738 iso, 787,560 raw) is checked by CI, two ways
         counts = golden_counts()["le_semigroups"]
-        for n, expected in counts["raw"].items():
-            if int(n) > 3:
-                continue
-            got = sum(
-                1 for _ in enumerate_le_semigroups(EnumerationConfig(order=int(n)))
-            )
-            assert got == expected
+        for dedup, key in (("none", "raw"), ("up_to_iso", "iso")):
+            for n, expected in counts[key].items():
+                if int(n) > 4:
+                    continue
+                cfg = EnumerationConfig(order=int(n), dedup=dedup)
+                assert sum(1 for _ in le_triples(cfg)) == expected
         lat = golden_counts()["lattices"]
         for n, expected in lat.items():
             assert len(all_lattices(int(n))) == expected
@@ -428,6 +429,9 @@ class TestShardingAndLimit:
             (enumerate_semigroups, {"order": 3, "dedup": "up_to_iso"}),
             (enumerate_ordered_semigroups, {"order": 2}),
             (enumerate_le_semigroups, {"order": 2}),
+            # raw order 4 relabels the search on one diamond and one chain onto
+            # the other 11 diamonds and 23 chains
+            (enumerate_le_semigroups, {"order": 4}),
         ],
     )
     def test_shards_partition_the_stream(self, maker, kw):

@@ -24,6 +24,7 @@ from posemi import (
     verify_theorem1,
     verify_theorem2,
 )
+from posemi.le import theorem2_flags
 
 from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3meet, make_l3null
 
@@ -236,13 +237,17 @@ class TestVerifyTheorem2:
     def test_reversal_symmetry(self, le_universe_4):
         # Reversing the multiplication (same lattice) swaps right and left
         # ideal elements and reverses products, so x ^ m ^ y <= y*m*x maps
-        # onto itself and so does a <= e*a^2*e: no flag may change.
+        # onto itself and so does a <= e*a^2*e: no flag may change, in
+        # verify_theorem2 or in the campaign kernel.
         flags = []
         for L in le_universe_4:
             r = verify_theorem2(L)
             op = LeSemigroup(tuple(zip(*L.table)), L.join, L.meet, L.top)
             r_op = verify_theorem2(op)
             assert (r_op.c1, r_op.c2, r_op.c3) == (r.c1, r.c2, r.c3), L.table
+            assert theorem2_flags(op.table, L.join, L.meet, L.top) == (
+                theorem2_flags(L.table, L.join, L.meet, L.top)
+            ), L.table
             flags.append((r.c1, r.c2, r.c3))
         # both verdicts occur
         assert {(True, True, True), (False, False, False)} <= set(flags)
