@@ -5,10 +5,11 @@ Campaign report streams are deterministic: one tab-separated line per
 structure (id, c1, c2, c3, ok) followed by a summary comment.  Every scope's
 campaign runs through `_campaign`, which shards among the in-scope
 structures and builds each line with `_line`, as `verify --file` does; only
-the file path prints witness lines.  `_id_rule` alone decides ids: the bare
-digest on iso campaigns, whose structures are their own canonical forms,
-and the canonical id everywhere else, which raw theorem2 campaigns take
-from each structure's isomorphic source.  `_stream` feeds `enumerate`.
+the file path prints witness lines.  `_id_rule` alone decides ids, also in
+`enumerate --out` file names: the bare digest on iso streams, whose
+structures are their own canonical forms, and the canonical id everywhere
+else, which raw theorem2 campaigns take from each structure's isomorphic
+source.  `_stream` feeds `enumerate`.
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
 status 2.
@@ -321,15 +322,14 @@ def cmd_enumerate(args):
                 f"--out with --order {args.order} exceeds the canonicalization"
                 f" cap {canon.DEDUP_CAP}"
             )
+        scope = "theorem2" if args.kind == "le" else "theorem1"
+        rule = _id_rule(scope, args.dedup == "iso")
         outdir = Path(args.out)
         count = 0
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             for i, s in enumerate(structures):
-                if args.kind == "le":
-                    sid = canon.le_structure_id(s.table, s.join, s.meet)
-                else:
-                    sid = canon.ordered_structure_id(s.table, s.leq)
+                sid = rule(*_parts(scope, s))
                 storage.save(s, outdir / f"{i:06d}-{sid}.json")
                 count += 1
         except OSError as exc:

@@ -5,7 +5,7 @@ row-major order.  Its pruning is complete: every associativity triple is
 checked the moment its last cell is set, so a partial table survives only
 while all of its fully known triples hold and every leaf is associative.
 Join-distributive multiplications come from the same backtracker with a
-per-cell distributivity hook, run once per lattice class on raw streams.
+per-cell distributivity hook, run once per lattice class.
 Compatible orders come from a closure walk, which also gives all partial
 orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
@@ -18,8 +18,10 @@ deduplicated during the search by lex-leader pruning: every node keeps the
 relabelings that could still make its table row-major smaller, and cuts the
 subtree as soon as one of them does on the cells known so far.  The
 relabelings are canon's (perm, src) pairs, taken as they are.  Each leaf
-then comes with its automorphisms (the pairs still live), and the order or
-lattice part is kept when none of them makes it smaller (canon.is_least).
+then comes with its automorphisms (the pairs still live), and the order
+part is kept when none of them makes it smaller (canon.is_least).  The le
+search prunes by the automorphisms of the lattice instead and
+canonicalizes what it keeps.
 """
 
 from __future__ import annotations
@@ -379,62 +381,60 @@ def _class_relabeling(join, firsts, perms):
 
 
 def le_sources(cfg):
-    """Each le-semigroup of `le_triples` as ((table, join, meet, top),
-    source), where source is the (table, join, meet) the structure was
-    relabeled from, and so isomorphic to it.
+    """Each le-semigroup of the configured order as ((table, join, meet,
+    top), source), ascending by (lattice, multiplication), where source is
+    the (table, join, meet) the structure was relabeled from, and so
+    isomorphic to it; dedup keeps canonical representatives.
 
     Relabeling a lattice by p relabels its join-distributive tables by p, so
-    the raw stream runs the search once per lattice class, on the class's
-    first labeled lattice, whose structures are their own sources.  Every
-    later lattice of the class takes those tables relabeled by a (perm, src)
-    from canon.relabelings, sorted into the search's row-major order.  The
-    iso stream searches every labeled lattice, and each structure is its
-    own source.
+    both streams run the search once per lattice class, on the class's first
+    labeled lattice J0.  The raw stream yields J0's tables as their own
+    sources, and every later lattice of the class takes them relabeled by a
+    (perm, src) from canon.relabelings, sorted into the search's row-major
+    order.  Two structures on J0 are isomorphic exactly when an automorphism
+    of J0 relabels one onto the other, so the iso search breaks symmetry by
+    Aut(J0) alone and keeps one table per isomorphism class.  Each is
+    canonicalized, and the canonical forms on a labeled lattice come out,
+    sorted by table and each its own source, when that lattice does.
     """
     _check_order(cfg.order)
     n = cfg.order
     perms = canon.relabelings(n)
+    iso = cfg.dedup == "up_to_iso"
 
-    def iso_stream():
-        for _, join, meet, top in all_lattices(n):
-            for table, auts in _fill(n, _join_distributive(join, n), perms[1:]):
-                if canon.is_least(((join, True), (meet, True)), auts):
-                    yield (table, join, meet, top), (table, join, meet)
-
-    def raw_stream():
+    def stream():
         firsts = []  # (join cells, [(table cells, source)]) per class met
+        canonical = {}  # iso: join -> tables of the canonical forms on it
         for _, join, meet, top in all_lattices(n):
             found = _class_relabeling(join, firsts, perms)
             if found is None:
+                cells = canon.row_major(join)
                 own = []
-                for table, _ in _fill(n, _join_distributive(join, n)):
-                    source = (table, join, meet)
-                    own.append((canon.row_major(table), source))
+                firsts.append((cells, own))
+                hook = _join_distributive(join, n)
+                if iso:
+                    aut = [p for p in perms[1:] if canon.relabel(cells, *p) == cells]
+                    for table, _ in _fill(n, hook, aut):
+                        t, j, _ = canon.canonical_le(table, join, meet)
+                        canonical.setdefault(j, []).append(t)
+                else:
+                    for table, _ in _fill(n, hook):
+                        source = (table, join, meet)
+                        own.append((canon.row_major(table), source))
+                        yield (table, join, meet, top), source
+            elif not iso:
+                structures, perm, src = found
+                moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
+                moved.sort(key=itemgetter(0))
+                for cells, source in moved:
+                    table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
                     yield (table, join, meet, top), source
-                firsts.append((canon.row_major(join), own))
-                continue
-            structures, perm, src = found
-            moved = [(canon.relabel(cells, perm, src), s) for cells, s in structures]
-            moved.sort(key=itemgetter(0))
-            for cells, source in moved:
-                table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
-                yield (table, join, meet, top), source
+            for table in sorted(canonical.pop(join, ())):
+                yield (table, join, meet, top), (table, join, meet)
 
-    stream = iso_stream if cfg.dedup == "up_to_iso" else raw_stream
     return _finalize(stream(), cfg)
 
 
-def le_triples(cfg):
-    """(table, join, meet, top) of the configured lattice-ordered
-    semigroups, ascending by (lattice, multiplication); dedup keeps
-    canonical representatives.
-
-    The canonical form compares the table first, so the search prunes on
-    the table alone and (join, meet) is then minimized over the table's
-    automorphisms."""
-    return (triple for triple, _ in le_sources(cfg))
-
-
 def enumerate_le_semigroups(cfg):
-    """The structures of `le_triples`, as LeSemigroups."""
-    return (LeSemigroup(t, j, m, top=top) for t, j, m, top in le_triples(cfg))
+    """The structures of `le_sources`, as LeSemigroups."""
+    return (LeSemigroup(t, j, m, top=top) for (t, j, m, top), _ in le_sources(cfg))

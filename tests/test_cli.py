@@ -313,7 +313,7 @@ class TestCampaignFailure:
         self.assert_one_failure(capsys, "theorem1", ordered_structure_id(*target))
 
     def test_theorem2(self, capsys, monkeypatch):
-        *_, target = enumeration.le_triples(self.ISO2)
+        *_, (target, _) = enumeration.le_sources(self.ISO2)
         kernel = le.theorem2_flags
 
         def flags(*structure):

@@ -27,7 +27,7 @@ from posemi.enumeration import (
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
-    le_triples,
+    le_sources,
 )
 
 from conftest import GOLDEN, relabeled
@@ -277,7 +277,7 @@ class TestLeEnumeration:
                 if int(n) > 4:
                     continue
                 cfg = EnumerationConfig(order=int(n), dedup=dedup)
-                assert sum(1 for _ in le_triples(cfg)) == expected
+                assert sum(1 for _ in le_sources(cfg)) == expected
         lat = golden_counts()["lattices"]
         for n, expected in lat.items():
             assert len(all_lattices(int(n))) == expected
@@ -432,6 +432,8 @@ class TestShardingAndLimit:
             # raw order 4 relabels the search on one diamond and one chain onto
             # the other 11 diamonds and 23 chains
             (enumerate_le_semigroups, {"order": 4}),
+            # iso order 4 yields each class's canonical forms at their lattices
+            (enumerate_le_semigroups, {"order": 4, "dedup": "up_to_iso"}),
         ],
     )
     def test_shards_partition_the_stream(self, maker, kw):

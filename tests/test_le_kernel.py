@@ -1,13 +1,16 @@
 """The theorem2 campaign path against the per-structure answers.
 
-Raw le streams run the search once per lattice class and relabel its
-tables onto every other labeled lattice of the class; the oracle is the
-search run on every labeled lattice.  Campaigns check each structure with
-`theorem2_flags`, which must give the (c1, c2, c3) of `verify_theorem2` and
-of the full triple scan.  On a le-semigroup c1 = c2 = c3, so answers alone
-cannot tell a wrong generated element apart: the kernel is also held to the
-principal check built from `gen_element` on (associative table, labeled
-lattice) pairs, distributive or not.
+Le streams run the search once per lattice class.  Raw streams relabel its
+tables onto every other labeled lattice of the class; iso streams prune it
+by the automorphisms of the lattice and canonicalize what is left.  The
+oracles are the search run on every labeled lattice: plain for raw
+streams, and for iso streams with lex-leader pruning on the table and
+(join, meet) kept when no table automorphism makes it smaller.  Campaigns
+check each structure with `theorem2_flags`, which must give the (c1, c2,
+c3) of `verify_theorem2` and of the full triple scan.  On a le-semigroup
+c1 = c2 = c3, so answers alone cannot tell a wrong generated element apart:
+the kernel is also held to the principal check built from `gen_element` on
+(associative table, labeled lattice) pairs, distributive or not.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from posemi import (
     le_structure_id,
     verify_theorem2,
 )
+from posemi.canon import is_least, relabelings
 from posemi.enumeration import (
     EnumerationConfig,
     _fill,
@@ -29,7 +33,6 @@ from posemi.enumeration import (
     all_lattices,
     associative_tables,
     le_sources,
-    le_triples,
 )
 from posemi.le import theorem2_flags
 
@@ -52,13 +55,38 @@ def per_lattice_fill(n, lattices):
     ]
 
 
-def raw(n, **kwargs):
-    return EnumerationConfig(order=n, **kwargs)
+def per_lattice_iso(n, lattices):
+    """The iso le stream of the given labeled lattices, searched lattice by
+    lattice with lex-leader pruning on the table."""
+    perms = relabelings(n)[1:]
+    return [
+        (table, join, meet, top)
+        for _, join, meet, top in lattices
+        for table, auts in _fill(n, _join_distributive(join, n), perms)
+        if is_least(((join, True), (meet, True)), auts)
+    ]
+
+
+def raw(n):
+    return EnumerationConfig(order=n)
+
+
+def iso(n):
+    return EnumerationConfig(order=n, dedup="up_to_iso")
+
+
+def le_structures(cfg):
+    return [structure for structure, _ in le_sources(cfg)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_raw_stream_is_the_per_lattice_fill(n):
-    assert list(le_triples(raw(n))) == per_lattice_fill(n, all_lattices(n))
+    assert le_structures(raw(n)) == per_lattice_fill(n, all_lattices(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iso_stream_is_the_per_lattice_search(n):
+    assert le_structures(iso(n)) == per_lattice_iso(n, all_lattices(n))
 
 
 def test_raw_order_5_stride():
@@ -81,8 +109,19 @@ def test_raw_order_5_stride():
         assert le_structure_id(table, join, meet) == le_structure_id(*source)
 
 
+def test_iso_order_5_stride():
+    lattices = all_lattices(5)[::LATTICE_STRIDE]
+    stream = le_structures(iso(5))
+    assert len(stream) == 6738
+    # the stream holds each lattice's structures in a row, in lattice order
+    joins = {join for _, join, _, _ in lattices}
+    got = [s for s in stream if s[1] in joins]
+    assert len(got) == 380
+    assert got == per_lattice_iso(5, lattices)
+
+
 def test_iso_sources_are_the_structures():
-    for (table, join, meet, _), source in le_sources(raw(4, dedup="up_to_iso")):
+    for (table, join, meet, _), source in le_sources(iso(4)):
         assert source == (table, join, meet)
 
 
@@ -100,11 +139,11 @@ def _flags_agree(structures):
 
 
 def test_kernel_raw_order_3():
-    _flags_agree([s for n in (1, 2, 3) for s in le_triples(raw(n))])
+    _flags_agree([s for n in (1, 2, 3) for s in le_structures(raw(n))])
 
 
 def test_kernel_raw_order_4_stride():
-    _flags_agree(list(itertools.islice(le_triples(raw(4)), 0, None, ORDER4_STRIDE)))
+    _flags_agree(le_structures(raw(4))[::ORDER4_STRIDE])
 
 
 def principal(L, kind):

@@ -16,8 +16,9 @@ timed in process with time.perf_counter in one pass.
   OrderedSemigroup construction (construction) that campaigns no longer do.
 - `verify theorem2 --max-order 5 --dedup iso` and `--dedup none` at orders 4
   and 5: the split covers every order of the campaign: the labeled lattices
-  (lattices), the le stream (fill: the search, and on raw streams the
-  relabeling onto each lattice class), ids (on raw streams one per source)
+  (lattices), the le stream (fill: the search once per lattice class, then
+  on raw streams the relabeling onto the class's other lattices and on iso
+  streams the canonical forms), ids (on raw streams one per source)
   and the kernel (checks).  "before" was measured the same way at commit
   f475563, where the search ran on every labeled lattice, every structure
   became a LeSemigroup (construction), every raw structure had its own
