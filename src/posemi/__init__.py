@@ -18,7 +18,6 @@ from .enumeration import (
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
-    max_enum_order,
 )
 from .le import (
     ElementFlags,

@@ -10,6 +10,14 @@ the file path prints witness lines.  `_id_rule` alone decides ids, also in
 structures are their own canonical forms, and the canonical id everywhere
 else, which raw theorem2 campaigns take from each structure's isomorphic
 source.  `_stream` feeds `enumerate`.
+
+What a run covers is decided here alone.  `--order` and `--max-order` run
+from 1 to `canon.DEDUP_CAP`, the cap of the canonical ids, and are checked
+when the arguments are parsed.  `enumerate` and `verify` take their shard
+by one rule, `islice(items, start, None, step)`, from the tuple streams of
+`enumeration`, so only the structures kept are built; `enumerate --limit`
+cuts the shard.
+
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
 status 2.
@@ -41,13 +49,20 @@ def _parse_shard(text):
     return i, t
 
 
-def _at_least(least):
-    """argparse type: an integer no smaller than least."""
+def _at_least(least, capped=False):
+    """argparse type: an integer no smaller than least and, when capped, no
+    larger than canon.DEDUP_CAP."""
 
     def parse(text):
-        if int(text) < least:
+        n = int(text)
+        if n < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
-        return int(text)
+        if capped and n > canon.DEDUP_CAP:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {canon.DEDUP_CAP} (the canonicalization cap),"
+                f" got {text}"
+            )
+        return n
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
     return parse
@@ -63,7 +78,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="emit structure records")
     p.add_argument("--kind", required=True, choices=["semigroup", "ordered", "le"])
-    p.add_argument("--order", required=True, type=_at_least(1))
+    p.add_argument("--order", required=True, type=_at_least(1, capped=True))
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
     p.add_argument("--limit", type=_at_least(0))
@@ -71,7 +86,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("scope", choices=["theorem1", "theorem2", "remark"])
-    p.add_argument("--max-order", type=int, dest="max_order")
+    p.add_argument("--max-order", type=_at_least(1, capped=True), dest="max_order")
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
     p.add_argument("--file", help="verify one structure file instead of a universe")
@@ -108,23 +123,25 @@ def _set_str(label, mask):
     return "{" + ", ".join(label(i) for i in ordered.subset_indices(mask)) + "}"
 
 
-def _config(order, dedup, limit=None, shard=None):
+def _config(order, dedup):
     dedup = "up_to_iso" if dedup == "iso" else "none"
-    return enumeration.EnumerationConfig(order, dedup, limit, shard)
+    return enumeration.EnumerationConfig(order, dedup)
 
 
-def _stream(kind, order, dedup, limit=None, shard=None):
-    """The enumerated structures of one kind and order: semigroups (with
-    the discrete order), ordered semigroups or le-semigroups."""
-    cfg = _config(order, dedup, limit, shard)
+def _stream(kind, order, dedup, start, step):
+    """The enumerated structures of one kind and order at positions start,
+    start + step, ...: semigroups (with the discrete order), ordered
+    semigroups or le-semigroups, each built after its tuple is kept."""
+    cfg = _config(order, dedup)
+    if kind == "le":
+        items = islice(enumeration.le_sources(cfg), start, None, step)
+        return (le.LeSemigroup(t, j, m, top=top) for (t, j, m, top), _ in items)
     if kind == "semigroup":
         discrete = [[i == j for j in range(order)] for i in range(order)]
-        for t in enumeration.enumerate_semigroups(cfg):
-            yield ordered.OrderedSemigroup(t, discrete)
-    elif kind == "ordered":
-        yield from enumeration.enumerate_ordered_semigroups(cfg)
+        pairs = ((t, discrete) for t in enumeration.enumerate_semigroups(cfg))
     else:
-        yield from enumeration.enumerate_le_semigroups(cfg)
+        pairs = enumeration.ordered_pairs(cfg)
+    return (ordered.OrderedSemigroup(*p) for p in islice(pairs, start, None, step))
 
 
 def _check(scope, s):
@@ -226,17 +243,6 @@ def cmd_verify(args):
         return 0 if ok else 1
     if args.max_order is None:
         return _usage_error("--max-order is required without --file")
-    cap = enumeration.max_enum_order()
-    if not 1 <= args.max_order <= cap:
-        return _usage_error(
-            f"--max-order must be between 1 and {cap}"
-            " (POSEMI_MAX_ORDER overrides the cap)"
-        )
-    if args.max_order > canon.DEDUP_CAP:
-        return _usage_error(
-            f"--max-order {args.max_order} exceeds the canonicalization cap"
-            f" {canon.DEDUP_CAP}"
-        )
     start, step = args.shard or (0, 1)
     checked = 0
     failed = []
@@ -315,22 +321,20 @@ def cmd_witness(args):
 
 
 def cmd_enumerate(args):
-    structures = _stream(args.kind, args.order, args.dedup, args.limit, args.shard)
+    start, step = args.shard or (0, 1)
+    structures = _stream(args.kind, args.order, args.dedup, start, step)
+    structures = islice(structures, args.limit)
     if args.out:
-        if args.order > canon.DEDUP_CAP:  # each file name carries an id
-            return _usage_error(
-                f"--out with --order {args.order} exceeds the canonicalization"
-                f" cap {canon.DEDUP_CAP}"
-            )
         scope = "theorem2" if args.kind == "le" else "theorem1"
         rule = _id_rule(scope, args.dedup == "iso")
         outdir = Path(args.out)
         count = 0
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for i, s in enumerate(structures):
+            for k, s in enumerate(structures):
                 sid = rule(*_parts(scope, s))
-                storage.save(s, outdir / f"{i:06d}-{sid}.json")
+                # named by position in the unsharded stream: shards share a DIR
+                storage.save(s, outdir / f"{start + k * step:06d}-{sid}.json")
                 count += 1
         except OSError as exc:
             print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ per-cell distributivity hook, run once per lattice class.
 Compatible orders come from a closure walk, which also gives all partial
 orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
-structure, independent of sharding.
+structure, so a caller can take any part of one by position (the command
+line shards and limits it with islice).  Orders run from 1 to
+canon.DEDUP_CAP, the cap of the canonical forms and ids.
 
 Deduplication keeps exactly the structures that equal their own canonical
 relabeling, so the up_to_iso stream is the set of canonical forms of the raw
@@ -26,75 +28,32 @@ canonicalizes what it keeps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import itemgetter
 
 from . import canon
 from .le import LeSemigroup
 from .ordered import OrderedSemigroup
 
-DEFAULT_MAX_ORDER = 5
-
 DEDUP_MODES = ("none", "up_to_iso")
-
-
-def max_enum_order():
-    """Enumeration order cap; POSEMI_MAX_ORDER overrides the default of 5."""
-    raw = os.environ.get("POSEMI_MAX_ORDER")
-    if not raw:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"POSEMI_MAX_ORDER must be a positive integer, got {raw!r}")
-    return cap
 
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Parameters for one enumeration run.
-
-    shard=(i, t) keeps every t-th structure starting at position i of the
-    deduplicated stream, so the t shards partition the unsharded output.
-    limit truncates the stream after that many yielded structures.
-    """
+    """Parameters for one enumeration run: the order, from 1 to
+    canon.DEDUP_CAP, and the dedup mode.  Which part of a stream a run
+    covers (shard, limit) is the caller's choice; the command line takes it
+    with islice."""
 
     order: int
     dedup: str = "none"
-    limit: int | None = None
-    shard: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        if not 1 <= self.order <= canon.DEDUP_CAP:
+            raise ValueError(f"order must be between 1 and {canon.DEDUP_CAP}")
         if self.dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}")
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be nonnegative")
-        if self.shard is not None:
-            i, t = self.shard
-            if t < 1 or not 0 <= i < t:
-                raise ValueError("shard must satisfy 0 <= index < total")
-
-
-def _check_order(n):
-    cap = max_enum_order()
-    if n > cap:
-        raise ValueError(
-            f"order {n} exceeds the enumeration cap {cap}"
-            " (set POSEMI_MAX_ORDER to raise it)"
-        )
-
-
-def _finalize(stream, cfg):
-    """The configured shard of the stream, cut after `limit` structures."""
-    start, step = cfg.shard or (0, 1)
-    return islice(islice(stream, start, None, step), cfg.limit)
 
 
 def _fill(n, hook=None, perms=()):
@@ -207,10 +166,9 @@ def associative_tables(n):
 def _semigroup_tables(n, dedup):
     """(table, automorphisms) for the tables of the dedup mode; up_to_iso
     keeps the tables no relabeling makes smaller, with their non-identity
-    automorphisms."""
-    if dedup == "up_to_iso":
-        return _fill(n, perms=canon.relabelings(n)[1:])
-    return ((table, ()) for table in associative_tables(n))
+    automorphisms, and the raw tables come with none."""
+    iso = dedup == "up_to_iso"
+    return _fill(n, perms=canon.relabelings(n)[1:] if iso else ())
 
 
 def enumerate_semigroups(cfg):
@@ -219,9 +177,7 @@ def enumerate_semigroups(cfg):
     dedup="up_to_iso" keeps exactly the tables equal to their canonical
     relabeling: one representative per isomorphism class.
     """
-    _check_order(cfg.order)
-    tables = _semigroup_tables(cfg.order, cfg.dedup)
-    return _finalize((table for table, _ in tables), cfg)
+    return (table for table, _ in _semigroup_tables(cfg.order, cfg.dedup))
 
 
 def _compatible_orders(table):
@@ -282,15 +238,10 @@ def ordered_pairs(cfg):
     yields with the table, can then relabel the pair without disturbing it,
     so the order part is kept when it is minimal under those automorphisms.
     """
-    _check_order(cfg.order)
-
-    def stream():
-        for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
-            for leq in enumerate_compatible_orders(table):
-                if canon.is_least(((leq, False),), auts):
-                    yield table, leq
-
-    return _finalize(stream(), cfg)
+    for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
+        for leq in enumerate_compatible_orders(table):
+            if canon.is_least(((leq, False),), auts):
+                yield table, leq
 
 
 def enumerate_ordered_semigroups(cfg):
@@ -397,42 +348,37 @@ def le_sources(cfg):
     canonicalized, and the canonical forms on a labeled lattice come out,
     sorted by table and each its own source, when that lattice does.
     """
-    _check_order(cfg.order)
     n = cfg.order
     perms = canon.relabelings(n)
     iso = cfg.dedup == "up_to_iso"
-
-    def stream():
-        firsts = []  # (join cells, [(table cells, source)]) per class met
-        canonical = {}  # iso: join -> tables of the canonical forms on it
-        for _, join, meet, top in all_lattices(n):
-            found = _class_relabeling(join, firsts, perms)
-            if found is None:
-                cells = canon.row_major(join)
-                own = []
-                firsts.append((cells, own))
-                hook = _join_distributive(join, n)
-                if iso:
-                    aut = [p for p in perms[1:] if canon.relabel(cells, *p) == cells]
-                    for table, _ in _fill(n, hook, aut):
-                        t, j, _ = canon.canonical_le(table, join, meet)
-                        canonical.setdefault(j, []).append(t)
-                else:
-                    for table, _ in _fill(n, hook):
-                        source = (table, join, meet)
-                        own.append((canon.row_major(table), source))
-                        yield (table, join, meet, top), source
-            elif not iso:
-                structures, perm, src = found
-                moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
-                moved.sort(key=itemgetter(0))
-                for cells, source in moved:
-                    table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
+    firsts = []  # (join cells, [(table cells, source)]) per class met
+    canonical = {}  # iso: join -> tables of the canonical forms on it
+    for _, join, meet, top in all_lattices(n):
+        found = _class_relabeling(join, firsts, perms)
+        if found is None:
+            cells = canon.row_major(join)
+            own = []
+            firsts.append((cells, own))
+            hook = _join_distributive(join, n)
+            if iso:
+                aut = [p for p in perms[1:] if canon.relabel(cells, *p) == cells]
+                for table, _ in _fill(n, hook, aut):
+                    t, j, _ = canon.canonical_le(table, join, meet)
+                    canonical.setdefault(j, []).append(t)
+            else:
+                for table, _ in _fill(n, hook):
+                    source = (table, join, meet)
+                    own.append((canon.row_major(table), source))
                     yield (table, join, meet, top), source
-            for table in sorted(canonical.pop(join, ())):
-                yield (table, join, meet, top), (table, join, meet)
-
-    return _finalize(stream(), cfg)
+        elif not iso:
+            structures, perm, src = found
+            moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
+            moved.sort(key=itemgetter(0))
+            for cells, source in moved:
+                table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
+                yield (table, join, meet, top), source
+        for table in sorted(canonical.pop(join, ())):
+            yield (table, join, meet, top), (table, join, meet)
 
 
 def enumerate_le_semigroups(cfg):

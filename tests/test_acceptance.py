@@ -6,7 +6,6 @@ isomorphism class) are shared session fixtures.
 """
 
 import itertools
-import json
 
 from posemi import (
     classify_subset,
@@ -158,9 +157,10 @@ def test_criterion_5_closure_algebra(ordered_universe_3):
     report("criterion 5: closure algebra, order <= 3", failures, f"{pairs} subset pairs")
 
 
-def test_criterion_6_enumeration_cross_check():
+def test_criterion_6_enumeration_cross_check(capsys):
     """Backtracking counts match generate-then-filter brute force for
-    n <= 3, and sharded streams reproduce the unsharded stream exactly."""
+    n <= 3, and sharded `enumerate` streams reproduce the unsharded stream
+    exactly."""
     failures = []
     brute = {}
     for n in (1, 2, 3):
@@ -181,19 +181,16 @@ def test_criterion_6_enumeration_cross_check():
     if brute[2] != 8:
         failures.append(("order-2-count", brute[2]))
 
+    def enumerate_lines(*shard):
+        main(["enumerate", "--kind", "semigroup", "--order", str(n), *shard])
+        return capsys.readouterr().out.splitlines()
+
     for n in (2, 3):
-        whole = [
-            json.dumps(t) for t in enumerate_semigroups(EnumerationConfig(order=n))
-        ]
+        whole = enumerate_lines()
         merged = []
         for i in range(4):
-            merged.extend(
-                json.dumps(t)
-                for t in enumerate_semigroups(
-                    EnumerationConfig(order=n, shard=(i, 4))
-                )
-            )
-        if sorted(merged) != sorted(whole) or len(merged) != len(whole):
+            merged.extend(enumerate_lines("--shard", f"{i}/4"))
+        if len(whole) != brute[n] or sorted(merged) != sorted(whole):
             failures.append(("shard-mismatch", n))
     report(
         "criterion 6: enumeration cross-check",

@@ -36,6 +36,22 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_usage_error(capsys, argv):
+    """stderr of an argv the parser rejects: exit status 2, empty stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
+
+
+def cap_message(flag, cap, order):
+    return (
+        f"error: argument {flag}: must be at most {cap}"
+        f" (the canonicalization cap), got {order}\n"
+    )
+
+
 class TestClassifyGolden:
     def test_n2_zero(self, capsys):
         code, out, _ = run(capsys, ["classify", "--file", N2, "--subset", "0"])
@@ -239,31 +255,19 @@ class TestVerifyCampaign:
             assert "0 <= i < t" in captured.err
 
     def test_max_order_cap(self, capsys):
-        code, _, err = run(capsys, ["verify", "theorem1", "--max-order", "9"])
-        assert code == 2
-        assert "POSEMI_MAX_ORDER" in err
+        err = run_usage_error(capsys, ["verify", "theorem1", "--max-order", "9"])
+        assert err.endswith(cap_message("--max-order", 6, 9))
 
-    def test_env_overrides_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("POSEMI_MAX_ORDER", "1")
-        code, _, err = run(capsys, ["verify", "theorem1", "--max-order", "2"])
-        assert code == 2
-        monkeypatch.setenv("POSEMI_MAX_ORDER", "2")
-        code, out, _ = run(capsys, ["verify", "theorem1", "--max-order", "2"])
-        assert code == 0
+    @pytest.mark.parametrize("scope", ["theorem1", "theorem2", "remark"])
+    @pytest.mark.parametrize("dedup", ["none", "iso"])
+    def test_max_order_above_cap_is_a_usage_error(self, capsys, scope, dedup):
+        argv = ["verify", scope, "--max-order", "7", "--dedup", dedup]
+        assert run_usage_error(capsys, argv).endswith(cap_message("--max-order", 6, 7))
 
-    @pytest.mark.parametrize("raw", ["x", "0", "-3", "2.5"])
-    def test_env_cap_must_be_positive_integer(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("POSEMI_MAX_ORDER", raw)
-        for argv in (
-            ["verify", "theorem1", "--max-order", "2"],
-            ["enumerate", "--kind", "semigroup", "--order", "2"],
-        ):
-            code, out, err = run(capsys, argv)
-            assert code == 1
-            assert out == ""
-            assert err == (
-                f"error: POSEMI_MAX_ORDER must be a positive integer, got '{raw}'\n"
-            )
+    @pytest.mark.parametrize("order", ["0", "-1", "x"])
+    def test_max_order_below_one_is_a_usage_error(self, capsys, order):
+        err = run_usage_error(capsys, ["verify", "theorem1", "--max-order", order])
+        assert "argument --max-order:" in err
 
     def test_max_order_required_without_file(self, capsys):
         code, _, err = run(capsys, ["verify", "theorem1"])
@@ -271,14 +275,12 @@ class TestVerifyCampaign:
         assert "--max-order" in err
 
     def test_max_order_above_dedup_cap(self, capsys, monkeypatch):
-        # rejected before any structure is checked, in both dedup modes
+        # the cap is read when the arguments are parsed, in both dedup modes
         monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
         for dedup in ("none", "iso"):
-            code, out, err = run(
-                capsys, ["verify", "remark", "--max-order", "3", "--dedup", dedup]
-            )
-            assert (code, out) == (2, "")
-            assert err == "error: --max-order 3 exceeds the canonicalization cap 2\n"
+            argv = ["verify", "remark", "--max-order", "3", "--dedup", dedup]
+            err = run_usage_error(capsys, argv)
+            assert err.endswith(cap_message("--max-order", 2, 3))
 
 
 class TestCampaignFailure:
@@ -414,15 +416,75 @@ class TestEnumerateCommand:
         # file names carry ids, so the cap is a usage error before any write
         monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
         outdir = tmp_path / "structures"
-        code, out, err = run(
+        err = run_usage_error(
             capsys,
             ["enumerate", "--kind", "ordered", "--order", "3", "--out", str(outdir)],
         )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: --out with --order 3 exceeds the canonicalization cap 2\n"
-        )
+        assert err.endswith(cap_message("--order", 2, 3))
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "kind,dedup,order",
+        [
+            ("semigroup", "none", "3"),
+            ("semigroup", "iso", "3"),
+            ("ordered", "none", "3"),
+            ("ordered", "iso", "3"),
+            ("le", "none", "2"),
+            ("le", "iso", "2"),
+            # raw order 4 relabels the search on one diamond and one chain onto
+            # the other 11 diamonds and 23 chains
+            ("le", "none", "4"),
+            # iso order 4 yields each class's canonical forms at their lattices
+            ("le", "iso", "4"),
+        ],
+    )
+    def test_shards_partition_the_stream(self, capsys, kind, dedup, order):
+        argv = ["enumerate", "--kind", kind, "--order", order, "--dedup", dedup]
+        _, whole, _ = run(capsys, argv)
+        lines = whole.splitlines()
+        assert len(set(lines)) == len(lines) > 3
+        for i in range(3):
+            _, part, _ = run(capsys, [*argv, "--shard", f"{i}/3"])
+            assert part.splitlines() == lines[i::3]
+
+    @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
+    @pytest.mark.parametrize("dedup", ["none", "iso"])
+    def test_limit_zero_yields_nothing(self, capsys, kind, dedup):
+        argv = ["enumerate", "--kind", kind, "--order", "2", "--dedup", dedup]
+        for shard in ([], ["--shard", "1/3"]):
+            code, out, err = run(capsys, [*argv, *shard, "--limit", "0"])
+            assert (code, out, err) == (0, "", "")
+
+    def test_limit_truncates(self, capsys):
+        # the limit cuts the shard, not the stream the shard is taken from
+        argv = ["enumerate", "--kind", "ordered", "--order", "3", "--dedup", "iso"]
+        _, whole, _ = run(capsys, argv)
+        lines = whole.splitlines()
+        _, head, _ = run(capsys, [*argv, "--limit", "5"])
+        assert head.splitlines() == lines[:5]
+        _, head, _ = run(capsys, [*argv, "--shard", "2/5", "--limit", "7"])
+        assert head.splitlines() == lines[2::5][:7]
+
+    @pytest.mark.parametrize(
+        "kind,order,dedup,total", [("semigroup", "3", "none", 5), ("le", "3", "iso", 3)]
+    )
+    def test_sharded_out_keeps_every_structure(
+        self, capsys, tmp_path, kind, order, dedup, total
+    ):
+        # each file is named by its position in the unsharded stream, so the
+        # shards written into one directory neither collide nor differ in name
+        argv = ["enumerate", "--kind", kind, "--order", order, "--dedup", dedup]
+        whole, shared = tmp_path / "whole", tmp_path / "shared"
+        _, out, _ = run(capsys, [*argv, "--out", str(whole)])
+        count = int(out.split()[1].removeprefix("wrote="))
+        for i in range(total):
+            run(capsys, [*argv, "--shard", f"{i}/{total}", "--out", str(shared)])
+        names = sorted(f.name for f in whole.iterdir())
+        assert len(names) == count
+        assert sorted(f.name for f in shared.iterdir()) == names
+        for name in names:
+            assert (shared / name).read_bytes() == (whole / name).read_bytes()
 
     def test_shard_merge_matches_unsharded(self, capsys):
         _, whole, _ = run(capsys, ["enumerate", "--kind", "ordered", "--order", "2"])
@@ -464,9 +526,14 @@ class TestEnumerateCommand:
         assert f"argument {flag}: must be at least" in captured.err
 
     def test_order_cap_error(self, capsys):
-        code, _, err = run(capsys, ["enumerate", "--kind", "semigroup", "--order", "8"])
-        assert code == 1
-        assert "enumeration cap" in err
+        argv = ["enumerate", "--kind", "semigroup", "--order", "8"]
+        assert run_usage_error(capsys, argv).endswith(cap_message("--order", 6, 8))
+
+    @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
+    @pytest.mark.parametrize("dedup", ["none", "iso"])
+    def test_order_above_cap_is_a_usage_error(self, capsys, kind, dedup):
+        argv = ["enumerate", "--kind", kind, "--order", "7", "--dedup", dedup]
+        assert run_usage_error(capsys, argv).endswith(cap_message("--order", 6, 7))
 
 
 class TestErrorPaths:
