@@ -148,10 +148,9 @@ def _check(scope, s):
     """(flags, ok, failed) for one structure: c1, c2 and c3 (None for c3 in
     the remark scope), ok, and the (condition, witness) pairs that failed."""
     if scope == "remark":
-        res = le.check_remark(s)
+        c1, res = le.remark_flags(s.table, s.leq, le.greatest(s.leq))
         ok = res is True
-        failed = () if ok else (("remark", res),)
-        return (le.is_intra_regular_poe(s), ok, None), ok, failed
+        return (c1, ok, None), ok, () if ok else (("remark", res),)
     verify = ordered.verify_theorem1 if scope == "theorem1" else le.verify_theorem2
     report = verify(s)
     return (report.c1, report.c2, report.c3), report.equivalence_ok, report.witnesses
@@ -178,9 +177,10 @@ def _campaign(scope, max_order, dedup, start, step):
     """(line, ok) for the in-scope structures of orders 1..max_order at
     positions start, start + step, ...: (table, leq) pairs (for remark those
     with a greatest element), or for theorem2 le structures with their
-    sources.  theorem1 and theorem2 go straight to their kernels; a
-    theorem2 line takes the id of its source, computed once per source and
-    kept for the current order only."""
+    sources.  No structure object is built: each tuple goes to its scope's
+    kernel (`theorem1_flags`, `theorem2_flags`, `remark_flags`); a theorem2
+    line takes the id of its source, computed once per source and kept for
+    the current order only."""
     sid = _id_rule(scope, dedup == "iso")
     orders = range(1, max_order + 1)
     stream = enumeration.le_sources if scope == "theorem2" else enumeration.ordered_pairs
@@ -190,11 +190,9 @@ def _campaign(scope, max_order, dedup, start, step):
     ids, order = {}, 0  # theorem2: source -> id, for the sources of one order
     for item in islice(items, start, None, step):
         if scope == "remark":
-            s = le.PoeSemigroup(*item)
-            flags, ok, _ = _check(scope, s)
-            yield _line(sid(*_parts(scope, s)), flags, ok), ok
-            continue
-        if scope == "theorem1":
+            (c1, res), item_id = le.remark_flags(*item), sid(*item[:2])
+            flags = c1, res is True, None
+        elif scope == "theorem1":
             item_id, flags = sid(*item), ordered.theorem1_flags(*item)
         else:
             structure, source = item
@@ -204,7 +202,7 @@ def _campaign(scope, max_order, dedup, start, step):
             if item_id is None:
                 item_id = ids[source] = sid(*source)
             flags = le.theorem2_flags(*structure)
-        ok = flags[0] == flags[1] == flags[2]
+        ok = flags[1] if scope == "remark" else flags[0] == flags[1] == flags[2]
         yield _line(item_id, flags, ok), ok
 
 
@@ -231,10 +229,8 @@ def cmd_verify(args):
         s = loaded.structure
         if args.scope == "theorem2" and not isinstance(s, le.LeSemigroup):
             return _usage_error("theorem2 requires a le_semigroup file")
-        if args.scope == "remark" and not isinstance(s, le.PoeSemigroup):
-            if le.greatest(s.leq) is None:
-                return _usage_error("remark requires a greatest element")
-            s = le.PoeSemigroup(s.table, s.leq)
+        if args.scope == "remark" and le.greatest(s.leq) is None:
+            return _usage_error("remark requires a greatest element")
         flags, ok, failed = _check(args.scope, s)
         print(_line(_id_rule(args.scope, False)(*_parts(args.scope, s)), flags, ok))
         for c, w in failed:

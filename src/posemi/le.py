@@ -8,15 +8,18 @@ generated right/left/bi/quasi elements have closed forms built from joins:
 a v ae, a v ea, a v aea and a v (ae ^ ea).
 
 `theorem2_flags` answers intra-regularity and the element-triple
-conditions from those generated elements alone; `le_condition_holds` runs
-the triple scan only to find a witness.  The same scan serves
-`check_remark` on poe-semigroups, where a triple counts only when its
-greatest lower bound exists in the order.
+conditions from those generated elements alone.  One triple scan on
+(table, leq, top) finds the witness of `le_condition_holds` and answers the
+remark (`remark_flags`), where a triple counts only when its greatest lower
+bound exists: the element whose down-set is the intersection of theirs, on
+lattices and off them.  Campaigns call `remark_flags`; `check_remark` and
+`verify remark --file` share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .ordered import OrderedSemigroup, _check_condition_kind, validate
 from .report import VerificationReport
@@ -26,8 +29,7 @@ ELEMENT_KINDS = ("right", "left", "bi", "quasi")
 
 def greatest(leq):
     """The unique greatest element of an order relation, or None."""
-    n = len(leq)
-    tops = [t for t in range(n) if all(leq[i][t] for i in range(n))]
+    tops = [t for t, col in enumerate(zip(*leq)) if all(col)]
     return tops[0] if len(tops) == 1 else None
 
 
@@ -165,39 +167,44 @@ def order_glb(leq, elems):
     return None
 
 
-def element_class(struct, a):
-    """Ideal-element flags of a in a LeSemigroup or PoeSemigroup.
+def _element_flags(table, leq, e):
+    """(down, glb, flags): each element's down-set bitmask, the element of
+    each down-set (the glb of a set, if any, owns the intersection of their
+    down-sets), and each a's (right, left, bi, quasi, quasi_defined) flags:
+    ae <= a, ea <= a, aea <= a, and ae ^ ea <= a where that glb exists."""
+    bits = [1 << i for i in range(len(leq))]
+    down = [sum(compress(bits, col)) for col in zip(*leq)]
+    glb = {d: a for a, d in enumerate(down)}
+    flags = []
+    for a, ta in enumerate(table):
+        ae, ea = ta[e], table[e][a]
+        low = glb.get(down[ae] & down[ea])
+        defined = low is not None
+        flags.append(
+            (leq[ae][a], leq[ea][a], leq[table[ae][a]][a], defined and leq[low][a], defined)
+        )
+    return down, glb, flags
 
-    In a lattice ae ^ ea always exists, so quasi_defined is always True
-    there; in a plain poe-semigroup it reflects whether the greatest lower
-    bound of {ae, ea} exists in the order.
-    """
+
+def _kind_elements(flags, kind):
+    k = ELEMENT_KINDS.index(kind)
+    return [a for a, f in enumerate(flags) if f[k]]
+
+
+def element_class(struct, a):
+    """Ideal-element flags of a in a PoeSemigroup or LeSemigroup;
+    quasi_defined says whether ae ^ ea exists in the order (on a lattice,
+    always)."""
     if not 0 <= a < struct.n:
         raise ValueError(f"element {a} out of range")
-    t = struct.table
-    leq = struct.leq
-    e = struct.top
-    ae = t[a][e]
-    ea = t[e][a]
-    if isinstance(struct, LeSemigroup):
-        low = struct.meet[ae][ea]
-    else:
-        low = order_glb(leq, (ae, ea))
-    defined = low is not None
-    return ElementFlags(
-        right=leq[ae][a],
-        left=leq[ea][a],
-        bi=leq[t[t[a][e]][a]][a],
-        quasi=defined and leq[low][a],
-        quasi_defined=defined,
-    )
+    return ElementFlags(*_element_flags(struct.table, struct.leq, struct.top)[2][a])
 
 
 def ideal_elements(struct, kind):
     """Ascending indices whose element_class has the kind flag set."""
     if kind not in ELEMENT_KINDS:
         raise ValueError(f"unknown element kind: {kind!r}")
-    return [a for a in range(struct.n) if getattr(element_class(struct, a), kind)]
+    return _kind_elements(_element_flags(struct.table, struct.leq, struct.top)[2], kind)
 
 
 def gen_element(L, a, kind):
@@ -227,25 +234,23 @@ def least_element_oracle(L, a, kind):
         raise TypeError("least_element_oracle requires a LeSemigroup")
     if not 0 <= a < L.n:
         raise ValueError(f"element {a} out of range")
-    if kind not in ELEMENT_KINDS:
-        raise ValueError(f"unknown element kind: {kind!r}")
+    members = ideal_elements(L, kind)
     acc = L.top
-    for cand in range(L.n):
-        if L.leq[a][cand] and getattr(element_class(L, cand), kind):
+    for cand in members:
+        if L.leq[a][cand]:
             acc = L.meet[acc][cand]
-    if not (L.leq[a][acc] and getattr(element_class(L, acc), kind)):
+    if not (L.leq[a][acc] and acc in members):
         raise AssertionError(f"meet of {kind} elements above {a} lost the property")
     return acc
 
 
+def _intra_regular(table, leq, e):
+    return all(leq[a][table[table[e][ta[a]]][e]] for a, ta in enumerate(table))
+
+
 def is_intra_regular_poe(struct):
     """True iff a <= e*a^2*e for every a."""
-    t = struct.table
-    e = struct.top
-    for a in range(struct.n):
-        if not struct.leq[a][t[t[e][t[a][a]]][e]]:
-            return False
-    return True
+    return _intra_regular(struct.table, struct.leq, struct.top)
 
 
 @dataclass(frozen=True)
@@ -257,36 +262,31 @@ class ElementWitness:
     y: int
 
 
-def _triple_scan(struct, kind):
+def _triple_scan(table, leq, top, kind):
     """First right/kind/left ideal-element triple (x, m, y), scanning each
     from the highest index down, whose greatest lower bound exists and is not
     below y*m*x, as an ElementWitness; True when there is none.  The bound is
-    the lattice meet on a LeSemigroup and `order_glb` otherwise."""
-    t, leq = struct.table, struct.leq
-    M = struct.meet if isinstance(struct, LeSemigroup) else None
-    rights = ideal_elements(struct, "right")
-    mids = ideal_elements(struct, kind)
-    lefts = ideal_elements(struct, "left")
+    looked up by down-set, one rule with a lattice or without."""
+    down, glb, flags = _element_flags(table, leq, top)
+    rights, mids, lefts = (_kind_elements(flags, k) for k in ("right", kind, "left"))
     for x in reversed(rights):
         for m in reversed(mids):
+            xm = down[x] & down[m]
             for y in reversed(lefts):
-                low = M[M[x][m]][y] if M else order_glb(leq, (x, m, y))
-                if low is not None and not leq[low][t[t[y][m]][x]]:
+                low = glb.get(xm & down[y])
+                if low is not None and not leq[low][table[table[y][m]][x]]:
                     return ElementWitness(x=x, m=m, y=y)
     return True
 
 
 def le_condition_scan(L, kind):
     """Check x ^ m ^ y <= y*m*x for all right ideal elements x, kind
-    elements m and left ideal elements y, by scanning every triple.
-
-    Returns True, or the first failing ElementWitness scanning x, m and y
-    each from the highest index down.
-    """
+    elements m and left ideal elements y by scanning every triple: True, or
+    the first failing ElementWitness (`_triple_scan`)."""
     if not isinstance(L, LeSemigroup):
         raise TypeError("le_condition_scan requires a LeSemigroup")
     _check_condition_kind(kind)
-    return _triple_scan(L, kind)
+    return _triple_scan(L.table, L.leq, L.top, kind)
 
 
 def theorem2_flags(table, join, meet, top):
@@ -342,14 +342,17 @@ def verify_theorem2(L):
     )
 
 
+def remark_flags(table, leq, top):
+    """(c1, remark) of the poe-semigroup (table, leq, top): c1 is
+    a <= e*a^2*e for every a; remark is True when c1 fails or no right/bi/
+    left ideal-element triple with a greatest lower bound fails
+    x ^ b ^ y <= y*b*x, else the first failing ElementWitness."""
+    c1 = _intra_regular(table, leq, top)
+    return c1, _triple_scan(table, leq, top, "bi") if c1 else True
+
+
 def check_remark(struct):
-    """On an intra-regular structure, verify x ^ b ^ y <= y*b*x for every
-    right/bi/left ideal-element triple whose greatest lower bound exists in
-    the order; triples without one are skipped.  Vacuously True when the
-    structure is not intra-regular.
-    """
+    """The remark of `remark_flags` on a PoeSemigroup or LeSemigroup."""
     if not isinstance(struct, PoeSemigroup):
         raise TypeError("check_remark requires a PoeSemigroup")
-    if not is_intra_regular_poe(struct):
-        return True
-    return _triple_scan(struct, "bi")
+    return remark_flags(struct.table, struct.leq, struct.top)[1]

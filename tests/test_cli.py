@@ -330,15 +330,33 @@ class TestCampaignFailure:
     def test_remark(self, capsys, monkeypatch):
         pairs = enumeration.ordered_pairs(self.ISO2)
         *_, target = (p for p in pairs if le.greatest(p[1]) is not None)
-        check = le.check_remark
+        kernel = le.remark_flags
 
-        def remark(s):
-            if (s.table, s.leq) == target:
-                return le.ElementWitness(x=0, m=0, y=0)
-            return check(s)
+        def remark(table, leq, top):
+            c1, res = kernel(table, leq, top)
+            if (table, leq) == target:
+                res = le.ElementWitness(x=0, m=0, y=0)
+            return c1, res
 
-        monkeypatch.setattr(le, "check_remark", remark)
+        monkeypatch.setattr(le, "remark_flags", remark)
         self.assert_one_failure(capsys, "remark", ordered_structure_id(*target))
+
+
+@pytest.mark.parametrize("dedup", ["none", "iso"])
+@pytest.mark.parametrize("scope", ["theorem1", "theorem2", "remark"])
+def test_campaign_builds_no_structure(capsys, monkeypatch, scope, dedup):
+    """Every scope checks the enumerated tuples themselves: with the
+    structure constructors made to raise, a campaign prints the same stream."""
+    argv = ["verify", scope, "--max-order", "3", "--dedup", dedup]
+    want = run(capsys, argv)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {scope} campaign built a {type(self).__name__}")
+
+    for cls in (ordered.OrderedSemigroup, le.PoeSemigroup, le.LeSemigroup):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert run(capsys, argv) == want
+    assert want[0] == 0 and want[1].endswith(" failures=0\n")
 
 
 class TestEnumerateCommand:

@@ -3,10 +3,11 @@
     python3 tools/bench_order5.py
 
 The file holds one entry per campaign, each with "before" and "after".
-"after" is measured on this checkout.  Its end-to-end time is one run of
-the campaign in a child process, whose report stream must end in the
-pinned summary line and hash to the pinned SHA-256.  Its per-layer split is
-timed in process with time.perf_counter in one pass.
+"after" is measured on this checkout.  Its end-to-end time is the median
+of three runs of the campaign, each in a child process whose report stream
+must end in the pinned summary line and hash to the pinned SHA-256; the
+three runs are recorded too, since one run moves with host load.  Its
+per-layer split is timed in process with time.perf_counter in one pass.
 
 - `verify theorem1 --max-order 5 --dedup iso`: the split covers the order-5
   structures alone: iso tables (enumeration), compatible orders and the
@@ -23,6 +24,13 @@ timed in process with time.perf_counter in one pass.
   f475563, where the search ran on every labeled lattice, every structure
   became a LeSemigroup (construction), every raw structure had its own
   canonical id and `verify_theorem2` gave the checks.
+- `verify remark --max-order 5 --dedup iso`: the split covers every order
+  of the campaign: the (table, leq) pairs with the greatest-element filter
+  (walk), ids and `le.remark_flags` (checks).  "before" was measured the
+  same way at commit 8da6276, where every structure became a PoeSemigroup
+  (construction) and `check_remark` with `is_intra_regular_poe` gave the
+  checks; its end-to-end time is the median of three runs alternated with
+  runs of the change on one host.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -39,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "BENCH_order5.json"
+RUNS = 3  # end-to-end runs per campaign; the median is reported
 
 # argv, pinned summary line, pinned stream SHA-256, "before"
 CAMPAIGNS = [
@@ -117,25 +127,46 @@ CAMPAIGNS = [
             },
         },
     ),
+    (
+        ["verify", "remark", "--max-order", "5", "--dedup", "iso"],
+        "# checked=49239 failures=0",
+        "d3752bf986730e1da275fa84d95b857c9125e78dcd2195229a57766d0d47eb70",
+        {
+            "commit": "8da6276",
+            "host": "2 vCPUs, Python 3.11.7",
+            "end_to_end_s": 16.04,
+            "end_to_end_runs_s": [17.01, 15.56, 16.04],
+            "structures": 49239,
+            "layers_s": {
+                "walk": 6.569,
+                "construction": 1.081,
+                "ids": 0.562,
+                "checks": 8.588,
+            },
+        },
+    ),
 ]
 
 
 def end_to_end(argv, summary, sha256):
-    """Wall time of the campaign in a child process, with its stream checked."""
+    """Wall times of RUNS runs of the campaign, each in a child process, with
+    its stream checked."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-m", "posemi.cli", *argv],
-        env=env,
-        check=True,
-        capture_output=True,
-    ).stdout
-    wall = time.perf_counter() - start
-    last = out.decode().rstrip("\n").rsplit("\n", 1)[-1]
-    digest = hashlib.sha256(out).hexdigest()
-    if last != summary or digest != sha256:
-        raise SystemExit(f"error: stream changed: {last!r}, sha256 {digest}")
-    return wall
+    walls = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "posemi.cli", *argv],
+            env=env,
+            check=True,
+            capture_output=True,
+        ).stdout
+        walls.append(time.perf_counter() - start)
+        last = out.decode().rstrip("\n").rsplit("\n", 1)[-1]
+        digest = hashlib.sha256(out).hexdigest()
+        if last != summary or digest != sha256:
+            raise SystemExit(f"error: stream changed: {last!r}, sha256 {digest}")
+    return walls
 
 
 def theorem1_split():
@@ -212,20 +243,51 @@ def theorem2_split(max_order, dedup):
     return spent, {}
 
 
+def remark_split(max_order):
+    """Seconds per layer over every structure of the iso remark campaign:
+    the (table, leq, top) tuples kept by the greatest-element filter, their
+    digests and `remark_flags`."""
+    from posemi import canon, le
+    from posemi.enumeration import EnumerationConfig, ordered_pairs
+
+    spent = dict.fromkeys(("walk", "ids", "checks"), 0.0)
+    for n in range(1, max_order + 1):
+        t0 = time.perf_counter()
+        items = [
+            (table, leq, top)
+            for table, leq in ordered_pairs(EnumerationConfig(n, "up_to_iso"))
+            if (top := le.greatest(leq)) is not None
+        ]
+        t1 = time.perf_counter()
+        for table, leq, _ in items:
+            canon.ordered_digest(table, leq)
+        t2 = time.perf_counter()
+        for item in items:
+            le.remark_flags(*item)
+        t3 = time.perf_counter()
+        spent["walk"] += t1 - t0
+        spent["ids"] += t2 - t1
+        spent["checks"] += t3 - t2
+    return spent, {}
+
+
 def main():
     sys.path.insert(0, str(SRC))
     host = f"{os.cpu_count()} vCPUs, Python {platform.python_version()}"
     campaigns = []
     for argv, summary, sha256, before in CAMPAIGNS:
-        wall = end_to_end(argv, summary, sha256)
+        walls = end_to_end(argv, summary, sha256)
         if argv[1] == "theorem1":
             spent, extra = theorem1_split()
+        elif argv[1] == "remark":
+            spent, extra = remark_split(int(argv[3]))
         else:
             dedup = "up_to_iso" if argv[-1] == "iso" else "none"
             spent, extra = theorem2_split(int(argv[3]), dedup)
         after = {
             "host": host,
-            "end_to_end_s": round(wall, 2),
+            "end_to_end_s": round(statistics.median(walls), 2),
+            "end_to_end_runs_s": [round(w, 2) for w in walls],
             "structures": int(summary.split("=")[1].split()[0]),
             **extra,
             "stream_sha256": sha256,
