@@ -11,9 +11,11 @@ value goes through perm when the matrix is element-valued (a table, join or
 meet) and is kept when it is a boolean relation.  Inside this module a matrix
 is a row-major list of cells, and a structure is a list of (cells, values)
 parts.  One builder (`relabel`), one comparison that stops at the first
-differing cell (`cmp_relabeled`) and one least-search (`_least`) serve the
-enumeration's lex-leader search, which takes the pairs directly, its
-canonicity test (`is_least`) and the canonical forms.
+differing cell (`cmp_relabeled`) and one least-search (`least_relabeling`)
+serve the enumeration's lex-leader search, which takes the pairs directly,
+its canonicity test (`is_least`) and the canonical forms.  The least-search
+also keys the enumeration's lattice classes: two labeled lattices are
+isomorphic exactly when their joins have the same least relabeling.
 
 The table is always compared first, so canonical forms find the least
 relabeled table and the relabelings that reach it once per table, and
@@ -85,7 +87,7 @@ def is_least(parts, perms):
     return all(cmp_relabeled(flat, perm, src, refs) >= 0 for perm, src in perms)
 
 
-def _least(parts, perms):
+def least_relabeling(parts, perms):
     """The least relabeling of the (cells, values) parts over the (perm, src)
     pairs of perms, with every pair that reaches it.  Each pair is compared
     against the running least, and only a new least is built."""
@@ -102,11 +104,11 @@ def _least(parts, perms):
 
 @lru_cache(maxsize=1)
 def _least_table(table):
-    """_least of a table (nested tuples, the cache key) over every
+    """least_relabeling of a table (nested tuples, the cache key) over every
     relabeling.  Ordered streams yield all orders of one table in a row, so
     one cached table serves them all."""
     _check_cap(len(table))
-    return _least(((row_major(table), True),), relabelings(len(table)))
+    return least_relabeling(((row_major(table), True),), relabelings(len(table)))
 
 
 def _canonical(table, *rest):
@@ -116,7 +118,7 @@ def _canonical(table, *rest):
     those alone."""
     n = len(table)
     least, reach = _least_table(tuple(map(tuple, table)))
-    best, _ = _least(rest, reach)
+    best, _ = least_relabeling(rest, reach)
     rows = range(0, n * n, n)
     return tuple(tuple(tuple(c[r : r + n]) for r in rows) for c in least + best)
 

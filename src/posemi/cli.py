@@ -11,12 +11,13 @@ structures are their own canonical forms, and the canonical id everywhere
 else, which raw theorem2 campaigns take from each structure's isomorphic
 source.  `_stream` feeds `enumerate`.
 
-What a run covers is decided here alone.  `--order` and `--max-order` run
-from 1 to `canon.DEDUP_CAP`, the cap of the canonical ids, and are checked
-when the arguments are parsed.  `enumerate` and `verify` take their shard
-by one rule, `islice(items, start, None, step)`, from the tuple streams of
-`enumeration`, so only the structures kept are built; `enumerate --limit`
-cuts the shard.
+What a run covers is decided here alone, and every flag is checked when
+the arguments are parsed.  `--order` and `--max-order` run from 1 to
+`canon.DEDUP_CAP`, the cap of the canonical ids.  `enumerate` and `verify`
+take their shard by one rule, `islice(items, start, None, step)`, from the
+tuple streams of `enumeration`, so only the structures kept are built;
+`enumerate --limit` cuts the shard.  islice takes no step or stop above
+`sys.maxsize`, and neither do `--shard` and `--limit`.
 
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
@@ -44,24 +45,25 @@ def _parse_shard(text):
         i, t = (int(v) for v in text.split("/"))
     except ValueError:
         raise argparse.ArgumentTypeError("shard must look like i/t, e.g. 0/4") from None
-    if not 0 <= i < t:
-        raise argparse.ArgumentTypeError(f"shard {text} must satisfy 0 <= i < t")
+    if not 0 <= i < t <= sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"shard {text} must satisfy 0 <= i < t <= {sys.maxsize}"
+        )
     return i, t
 
 
 def _at_least(least, capped=False):
-    """argparse type: an integer no smaller than least and, when capped, no
-    larger than canon.DEDUP_CAP."""
+    """argparse type: an integer no smaller than least and no larger than
+    sys.maxsize or, when capped, canon.DEDUP_CAP."""
 
     def parse(text):
         n = int(text)
         if n < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
-        if capped and n > canon.DEDUP_CAP:
-            raise argparse.ArgumentTypeError(
-                f"must be at most {canon.DEDUP_CAP} (the canonicalization cap),"
-                f" got {text}"
-            )
+        most = canon.DEDUP_CAP if capped else sys.maxsize
+        if n > most:
+            why = " (the canonicalization cap)" if capped else ""
+            raise argparse.ArgumentTypeError(f"must be at most {most}{why}, got {text}")
         return n
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"

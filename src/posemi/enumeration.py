@@ -5,7 +5,8 @@ row-major order.  Its pruning is complete: every associativity triple is
 checked the moment its last cell is set, so a partial table survives only
 while all of its fully known triples hold and every leaf is associative.
 Join-distributive multiplications come from the same backtracker with a
-per-cell distributivity hook, run once per lattice class.
+per-cell distributivity hook, run once per lattice class; a lattice's class
+is one dict lookup on its canonical join.
 Compatible orders come from a closure walk, which also gives all partial
 orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
@@ -318,19 +319,6 @@ def _join_distributive(join, n):
     return hook
 
 
-def _class_relabeling(join, firsts, perms):
-    """(structures, perm, src) for the first lattice class of firsts, a
-    list of (join cells, structures), whose join a (perm, src) of perms
-    relabels onto join; None when join starts a new class.  The join
-    determines the order, meet and top, so it relabels the whole lattice."""
-    cells = canon.row_major(join)
-    for first, structures in firsts:
-        for perm, src in perms:
-            if canon.cmp_relabeled(((first, True),), perm, src, (cells,)) == 0:
-                return structures, perm, src
-    return None
-
-
 def le_sources(cfg):
     """Each le-semigroup of the configured order as ((table, join, meet,
     top), source), ascending by (lattice, multiplication), where source is
@@ -339,9 +327,13 @@ def le_sources(cfg):
 
     Relabeling a lattice by p relabels its join-distributive tables by p, so
     both streams run the search once per lattice class, on the class's first
-    labeled lattice J0.  The raw stream yields J0's tables as their own
-    sources, and every later lattice of the class takes them relabeled by a
-    (perm, src) from canon.relabelings, sorted into the search's row-major
+    labeled lattice J0.  A lattice's class is keyed by its canonical join,
+    the least relabeling of the join's cells (canon.least_relabeling): the
+    join fixes the order, meet and top, so two labeled lattices are
+    isomorphic exactly when their keys are equal.  The raw stream yields
+    J0's tables as their own sources, and every later lattice of the class
+    takes them relabeled by the first (perm, src) of canon.relabelings that
+    relabels J0's join onto its own, sorted into the search's row-major
     order.  Two structures on J0 are isomorphic exactly when an automorphism
     of J0 relabels one onto the other, so the iso search breaks symmetry by
     Aut(J0) alone and keeps one table per isomorphism class.  Each is
@@ -351,14 +343,16 @@ def le_sources(cfg):
     n = cfg.order
     perms = canon.relabelings(n)
     iso = cfg.dedup == "up_to_iso"
-    firsts = []  # (join cells, [(table cells, source)]) per class met
+    classes = {}  # canonical join -> (J0's join cells, [(table cells, source)])
     canonical = {}  # iso: join -> tables of the canonical forms on it
     for _, join, meet, top in all_lattices(n):
-        found = _class_relabeling(join, firsts, perms)
+        cells = canon.row_major(join)
+        (least,), _ = canon.least_relabeling(((cells, True),), perms)
+        key = tuple(least)
+        found = classes.get(key)
         if found is None:
-            cells = canon.row_major(join)
             own = []
-            firsts.append((cells, own))
+            classes[key] = (cells, own)
             hook = _join_distributive(join, n)
             if iso:
                 aut = [p for p in perms[1:] if canon.relabel(cells, *p) == cells]
@@ -371,11 +365,12 @@ def le_sources(cfg):
                     own.append((canon.row_major(table), source))
                     yield (table, join, meet, top), source
         elif not iso:
-            structures, perm, src = found
+            first, structures = found
+            perm, src = next(p for p in perms if canon.relabel(first, *p) == cells)
             moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
             moved.sort(key=itemgetter(0))
-            for cells, source in moved:
-                table = tuple(zip(*[iter(cells)] * n))  # the rows of n cells
+            for c, source in moved:
+                table = tuple(zip(*[iter(c)] * n))  # the rows of n cells
                 yield (table, join, meet, top), source
         for table in sorted(canonical.pop(join, ())):
             yield (table, join, meet, top), (table, join, meet)

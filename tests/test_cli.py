@@ -28,6 +28,7 @@ N2 = str(FIXTURES / "n2.json")
 S2L = str(FIXTURES / "s2l.json")
 L3NULL = str(FIXTURES / "l3null.json")
 L3MEET = str(FIXTURES / "l3meet.json")
+HUGE = 99999999999999999999  # above sys.maxsize, the largest islice step or stop
 
 
 def run(capsys, argv):
@@ -241,7 +242,9 @@ class TestVerifyCampaign:
         assert sorted(shard_lines) == sorted(whole_lines)
         assert len(shard_lines) == len(whole_lines)
 
-    @pytest.mark.parametrize("shard", ["0/0", "5/2", "-1/2"])
+    @pytest.mark.parametrize(
+        "shard", ["0/0", "5/2", "-1/2", f"0/{HUGE}", f"{HUGE - 1}/{HUGE}"]
+    )
     def test_bad_shard_is_a_usage_error(self, capsys, shard):
         for argv in (
             ["verify", "theorem1", "--max-order", "2"],
@@ -253,6 +256,11 @@ class TestVerifyCampaign:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "0 <= i < t" in captured.err
+
+    def test_shard_step_up_to_maxsize(self, capsys):
+        argv = ["verify", "theorem1", "--max-order", "2", "--shard", f"0/{sys.maxsize}"]
+        code, out, _ = run(capsys, argv)
+        assert (code, len(out.strip().split("\n"))) == (0, 2)  # one line, the summary
 
     def test_max_order_cap(self, capsys):
         err = run_usage_error(capsys, ["verify", "theorem1", "--max-order", "9"])
@@ -521,6 +529,11 @@ class TestEnumerateCommand:
         )
         assert len(out.strip().split("\n")) == 3
 
+    def test_limit_up_to_maxsize(self, capsys):
+        argv = ["enumerate", "--kind", "semigroup", "--order", "2"]
+        _, whole, _ = run(capsys, argv)
+        assert run(capsys, [*argv, "--limit", str(sys.maxsize)]) == (0, whole, "")
+
     def test_limit_zero_prints_nothing(self, capsys):
         code, out, err = run(
             capsys, ["enumerate", "--kind", "semigroup", "--order", "2", "--limit", "0"]
@@ -533,6 +546,7 @@ class TestEnumerateCommand:
             (["--order", "0"], "--order"),
             (["--order", "-2"], "--order"),
             (["--order", "2", "--limit", "-1"], "--limit"),
+            (["--order", "2", "--limit", str(HUGE)], "--limit"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, args, flag):
@@ -541,7 +555,8 @@ class TestEnumerateCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: must be at least" in captured.err
+        bound = "most" if args[-1] == str(HUGE) else "least"
+        assert f"argument {flag}: must be at {bound}" in captured.err
 
     def test_order_cap_error(self, capsys):
         argv = ["enumerate", "--kind", "semigroup", "--order", "8"]

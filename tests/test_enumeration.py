@@ -3,9 +3,11 @@ force, compatible orders against the two-sided compatibility filter,
 canonical-form deduplication, determinism, and the pinned golden counts.
 Sharding and limits are the command line's; tests/test_cli.py covers them."""
 
+import collections
 import functools
 import itertools
 import json
+import math
 
 import pytest
 
@@ -20,7 +22,7 @@ from posemi import (
     validate,
     validate_le,
 )
-from posemi.canon import is_least, relabelings
+from posemi.canon import is_least, least_relabeling, relabelings, row_major
 from posemi.enumeration import (
     EnumerationConfig,
     _fill,
@@ -29,6 +31,7 @@ from posemi.enumeration import (
     enumerate_ordered_semigroups,
     enumerate_semigroups,
     le_sources,
+    ordered_pairs,
 )
 
 from conftest import GOLDEN, relabeled
@@ -307,6 +310,24 @@ class TestLeEnumeration:
         ]
         assert got == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lattice_classes_by_canonical_join(self, n):
+        # le_sources keys each labeled lattice's class by its canonical join:
+        # the classes are the unlabeled lattices (OEIS A006966), and each
+        # holds n!/|Aut(J0)| labeled ones, |Aut(J0)| counted by brute force
+        perms = relabelings(n)
+        firsts = {}
+        for _, join, _, _ in all_lattices(n):
+            (least,), _ = least_relabeling(((row_major(join), True),), perms)
+            firsts.setdefault(tuple(least), join)
+        counts = golden_counts()
+        assert len(firsts) == counts["lattice_classes"][str(n)]
+        labeled = 0
+        for join in firsts.values():
+            aut = sum(relabeled(join, p) == join for p, _ in perms)
+            labeled += math.factorial(n) // aut
+        assert labeled == counts["lattices"][str(n)]
+
     def test_includes_null_and_meet_chains(self, l3null, l3meet):
         members = list(enumerate_le_semigroups(EnumerationConfig(order=3)))
         assert l3null in members
@@ -369,6 +390,26 @@ class TestSymmetryBreaking:
         for t, auts in _fill(n, perms=perms):
             stabilizer = [(p, src) for p, src in perms if relabeled(t, p) == t]
             assert auts == stabilizer
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_classes_by_burnside(self, n):
+        # an iso table T has (1/|Aut T|) sum over g in Aut T of fix(g) order
+        # classes, fix(g) the compatible orders g leaves unchanged; CI runs
+        # order 5
+        kept = collections.Counter(
+            t for t, _ in ordered_pairs(EnumerationConfig(n, "up_to_iso"))
+        )
+        total = 0
+        for t, auts in _fill(n, perms=relabelings(n)[1:]):
+            group = [relabelings(n)[0], *auts]
+            orders = list(enumerate_compatible_orders(t))
+            fixed = sum(
+                relabeled(leq, p, values=False) == leq for p, _ in group for leq in orders
+            )
+            assert divmod(fixed, len(group)) == (kept[t], 0)
+            total += kept[t]
+        assert total == sum(kept.values())
+        assert total == golden_counts()["ordered_semigroups"]["iso"][str(n)]
 
     def test_order_five_counts_by_orbit_stabilizer(self):
         # each class of the iso stream holds 5!/|Aut(T)| labeled tables, so
