@@ -52,6 +52,13 @@ def _parse_shard(text):
     return i, t
 
 
+def _path(text):
+    """argparse type of --file and --out: a path, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _at_least(least, capped=False):
     """argparse type: an integer no smaller than least and no larger than
     sys.maxsize or, when capped, canon.DEDUP_CAP."""
@@ -84,30 +91,34 @@ def build_parser():
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
     p.add_argument("--limit", type=_at_least(0))
-    p.add_argument("--out", metavar="DIR", help="write one file per structure")
+    p.add_argument(
+        "--out", type=_path, metavar="DIR", help="write one file per structure"
+    )
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("scope", choices=["theorem1", "theorem2", "remark"])
     p.add_argument("--max-order", type=_at_least(1, capped=True), dest="max_order")
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
-    p.add_argument("--file", help="verify one structure file instead of a universe")
+    p.add_argument(
+        "--file", type=_path, help="verify one structure file instead of a universe"
+    )
 
     p = sub.add_parser("classify", help="ideal flags of a subset or element")
-    p.add_argument("--file", required=True)
+    p.add_argument("--file", type=_path, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--subset", help="comma-separated indices or names")
     g.add_argument("--element", help="index or name")
 
     p = sub.add_parser("generate", help="generated ideal or ideal element")
-    p.add_argument("--file", required=True)
+    p.add_argument("--file", type=_path, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--subset", help="comma-separated indices or names")
     g.add_argument("--element", help="index or name")
     p.add_argument("--kind", required=True, choices=["left", "right", "quasi"])
 
     p = sub.add_parser("witness", help="intra-regularity witness for an element")
-    p.add_argument("--file", required=True)
+    p.add_argument("--file", type=_path, required=True)
     p.add_argument("--element", required=True)
 
     return parser
@@ -224,7 +235,7 @@ def _usage_error(message):
 
 
 def cmd_verify(args):
-    if args.file:
+    if args.file is not None:
         if args.max_order is not None or args.shard or args.dedup == "iso":
             return _usage_error("--file takes no --max-order, --shard or --dedup iso")
         loaded = storage.load(args.file)
@@ -322,7 +333,7 @@ def cmd_enumerate(args):
     start, step = args.shard or (0, 1)
     structures = _stream(args.kind, args.order, args.dedup, start, step)
     structures = islice(structures, args.limit)
-    if args.out:
+    if args.out is not None:
         scope = "theorem2" if args.kind == "le" else "theorem1"
         rule = _id_rule(scope, args.dedup == "iso")
         outdir = Path(args.out)

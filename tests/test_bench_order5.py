@@ -1,0 +1,70 @@
+"""tools/bench_order5.py: the per-layer split of a campaign run in process
+hashes to the campaign's pin, accounts for all of its wall time and leaves
+the wrapped functions as it found them."""
+
+import hashlib
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from posemi import cli
+
+from conftest import GOLDEN
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_order5.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_order5", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wrapped_attributes(tool):
+    """Every module attribute the split patches, by its "module.function"."""
+    out = {}
+    for layers in tool.LAYERS.values():
+        for name in layers:
+            module, attr = name.split(".")
+            out[name] = getattr(importlib.import_module(f"posemi.{module}"), attr)
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, summary",
+    [
+        ("verify theorem1 --max-order 4 --dedup iso", "# checked=4938 failures=0"),
+        ("verify theorem2 --max-order 4 --dedup none", "# checked=11581 failures=0"),
+        ("verify remark --max-order 4 --dedup iso", "# checked=1514 failures=0"),
+    ],
+    ids=["theorem1", "theorem2", "remark"],
+)
+def test_split_of_an_order_four_campaign(tool, command, summary):
+    sha256 = json.loads((GOLDEN / "streams.json").read_text())[command]
+    originals = wrapped_attributes(tool)
+    argv = command.split()
+    wall, spent = tool.split(argv, summary, sha256)
+    assert set(spent) == {*tool.LAYERS[argv[1]].values(), "other"}
+    assert all(seconds >= 0 for seconds in spent.values()), spent
+    assert sum(spent.values()) == pytest.approx(wall)
+    after = wrapped_attributes(tool)
+    assert all(after[name] is fn for name, fn in originals.items())
+
+
+def test_split_fails_on_a_wrong_pin(tool, capsys):
+    argv = ["verify", "theorem1", "--max-order", "2"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    summary, sha256 = out.splitlines()[-1], hashlib.sha256(out.encode()).hexdigest()
+    originals = wrapped_attributes(tool)
+    for wrong in ((summary, "0" * 64), ("# checked=20 failures=0", sha256)):
+        with pytest.raises(SystemExit, match="stream changed"):
+            tool.split(argv, *wrong)
+        after = wrapped_attributes(tool)
+        assert all(after[name] is fn for name, fn in originals.items())
+    tool.split(argv, summary, sha256)

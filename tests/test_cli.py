@@ -641,6 +641,24 @@ class TestErrorPaths:
             f"error: {path}: poe_semigroup order has no unique greatest element\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem1", "--file", "", "--max-order", "2"],
+            ["verify", "theorem1", "--file", ""],
+            ["enumerate", "--kind", "ordered", "--order", "2", "--out", ""],
+            ["classify", "--file", "", "--subset", "0"],
+            ["generate", "--file", "", "--subset", "0", "--kind", "left"],
+            ["witness", "--file", "", "--element", "0"],
+        ],
+        ids=["verify-order", "verify", "enumerate", "classify", "generate", "witness"],
+    )
+    def test_empty_path_is_a_usage_error(self, capsys, argv):
+        # an empty --file or --out names no file; it is not an absent flag
+        flag = argv[argv.index("") - 1]
+        err = run_usage_error(capsys, argv)
+        assert err.endswith(f"error: argument {flag}: must not be empty\n")
+
     def test_element_generation_needs_lattice(self, capsys):
         code, _, err = run(
             capsys, ["generate", "--file", N2, "--element", "a", "--kind", "quasi"]
