@@ -20,6 +20,11 @@ isomorphic exactly when their joins have the same least relabeling.
 The table is always compared first, so canonical forms find the least
 relabeled table and the relabelings that reach it once per table, and
 minimize the order (or join and meet) over those relabelings alone.
+
+An id hashes the sorted, compact JSON of a canonical form.  `_digest`
+encodes the whole payload and is the tests' oracle; campaigns hash the same
+bytes put together from cached text instead (`ordered_digest`,
+`le_digest`).
 """
 
 from __future__ import annotations
@@ -133,16 +138,38 @@ def canonical_le(table, join, meet):
     return _canonical(table, (row_major(join), True), (row_major(meet), True))
 
 
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _digest(payload):
-    data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
+    """The id of a payload: the first 16 hex digits of the SHA-256 of its
+    sorted, compact JSON.  The oracle of `ordered_digest` and `le_digest`."""
+    return _sha16(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
+# the compact JSON text of a nested tuple, as `_digest` writes it
+_text = json.JSONEncoder(separators=(",", ":")).encode
+_leq_row = lru_cache(maxsize=None)(_text)  # rows of booleans: 2^n of length n
+
+
+@lru_cache(maxsize=1)
+def _table_tail(table):
+    """The text after the order in an ordered payload, for one table (nested
+    tuples, the cache key); an ordered stream yields all orders of a table
+    in a row, as `_least_table` relies on too."""
+    return '],"table":' + _text(table) + "}"
 
 
 def ordered_digest(table, leq):
     """Digest of (table, leq) taken as it is: `ordered_structure_id` of a
     structure that is its own canonical form, as every structure of an
-    up_to_iso stream is.  leq holds booleans."""
-    return _digest({"kind": "ordered_semigroup", "table": table, "leq": leq})
+    up_to_iso stream is.  table and leq are nested tuples, leq of booleans.
+    It hashes the bytes `_digest` would for {"kind": "ordered_semigroup",
+    "table": table, "leq": leq}: a constant head, one cached text per order
+    row and the table's cached tail."""
+    rows = ",".join(map(_leq_row, leq))
+    return _sha16('{"kind":"ordered_semigroup","leq":[' + rows + _table_tail(table))
 
 
 def ordered_structure_id(table, leq):
@@ -150,10 +177,19 @@ def ordered_structure_id(table, leq):
     return ordered_digest(*canonical_ordered(table, leq))
 
 
+@lru_cache(maxsize=1)
+def _le_head(join, meet):
+    """The text before the table in an le payload, for one lattice; an iso
+    le stream yields the structures on one labeled lattice in a row."""
+    join, meet = _text(join), _text(meet)
+    return f'{{"join":{join},"kind":"le_semigroup","meet":{meet},"table":'
+
+
 def le_digest(table, join, meet):
-    """`ordered_digest` for (table, join, meet): `le_structure_id` of a
-    structure that is its own canonical form."""
-    return _digest({"kind": "le_semigroup", "table": table, "join": join, "meet": meet})
+    """`ordered_digest` for (table, join, meet), nested tuples:
+    `le_structure_id` of a structure that is its own canonical form, hashed
+    from the join and meet text cached per lattice."""
+    return _sha16(_le_head(join, meet) + _text(table) + "}")
 
 
 def le_structure_id(table, join, meet):

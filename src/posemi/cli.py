@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -182,8 +183,14 @@ def _parts(scope, s):
     return (s.table, s.join, s.meet) if scope == "theorem2" else (s.table, s.leq)
 
 
+@lru_cache(maxsize=None)  # 24 (flags, ok) at most, over the three scopes
+def _tail(flags, ok):
+    return "".join("\t" + _fmt_bool(b) for b in (*flags, ok))
+
+
 def _line(sid, flags, ok):
-    return "\t".join([sid, *map(_fmt_bool, flags), _fmt_bool(ok)])
+    """The report line of one structure: its id, c1, c2, c3 and ok."""
+    return sid + _tail(flags, ok)
 
 
 def _campaign(scope, max_order, dedup, start, step):

@@ -238,10 +238,12 @@ def ordered_pairs(cfg):
     must itself be canonical, and only table automorphisms, which the search
     yields with the table, can then relabel the pair without disturbing it,
     so the order part is kept when it is minimal under those automorphisms.
+    A table without automorphisms (every table of the raw stream) keeps
+    every order.
     """
     for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
         for leq in enumerate_compatible_orders(table):
-            if canon.is_least(((leq, False),), auts):
+            if not auts or canon.is_least(((leq, False),), auts):
                 yield table, leq
 
 

@@ -8,11 +8,20 @@ import random
 import pytest
 
 from posemi import canonical_le, canonical_ordered, le_structure_id
-from posemi.canon import cmp_relabeled, le_digest, relabel, relabelings
+from posemi.canon import (
+    _digest,
+    cmp_relabeled,
+    le_digest,
+    ordered_digest,
+    relabel,
+    relabelings,
+)
 from posemi.enumeration import (
     EnumerationConfig,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
+    le_sources,
+    ordered_pairs,
 )
 
 from conftest import relabeled
@@ -140,3 +149,57 @@ class TestLeDigest:
         ]
         differ = sum(le_digest(*p) != le_structure_id(*p) for p in raw)
         assert 0 < differ < len(raw)
+
+
+def _ordered_oracle(table, leq):
+    return _digest({"kind": "ordered_semigroup", "table": table, "leq": leq})
+
+
+def _le_oracle(table, join, meet):
+    return _digest({"kind": "le_semigroup", "table": table, "join": join, "meet": meet})
+
+
+class TestDigestsFromCachedText:
+    """`ordered_digest` and `le_digest` hash the bytes `_digest` encodes,
+    put together from cached text; `_digest` is their oracle."""
+
+    @pytest.mark.parametrize("dedup", ["none", "up_to_iso"])
+    def test_ordered_orders_one_to_four(self, dedup):
+        pairs = [
+            pair
+            for n in range(1, 5)
+            for pair in ordered_pairs(EnumerationConfig(order=n, dedup=dedup))
+        ]
+        assert len(pairs) == {"none": 108680, "up_to_iso": 4938}[dedup]
+        got = [ordered_digest(*pair) for pair in pairs]
+        assert got == [_ordered_oracle(*pair) for pair in pairs]
+
+    @pytest.mark.parametrize("dedup", ["none", "up_to_iso"])
+    def test_le_orders_one_to_four(self, dedup):
+        parts = [
+            structure[:3]
+            for n in range(1, 5)
+            for structure, _ in le_sources(EnumerationConfig(order=n, dedup=dedup))
+        ]
+        assert len(parts) == {"none": 11581, "up_to_iso": 530}[dedup]
+        got = [le_digest(*p) for p in parts]
+        assert got == [_le_oracle(*p) for p in parts]
+
+    def test_ordered_alternating_tables(self):
+        # the table text is cached for the last table only: A, B, A must
+        # each get their own
+        a, b = ((0, 0), (0, 0)), ((0, 1), (1, 0))
+        leq = ((True, False), (False, True))
+        for table in (a, b, a, b):
+            assert ordered_digest(table, leq) == _ordered_oracle(table, leq)
+        assert ordered_digest(a, leq) != ordered_digest(b, leq)
+
+    def test_le_alternating_lattices(self):
+        # the join and meet text is cached for the last lattice only
+        cfg = EnumerationConfig(order=3)
+        firsts = {}
+        for (table, join, meet, _), _ in le_sources(cfg):
+            firsts.setdefault((join, meet), table)
+        (ja, a), (jb, b) = list(firsts.items())[:2]
+        for table, (join, meet) in ((a, ja), (b, jb), (a, ja), (b, jb)):
+            assert le_digest(table, join, meet) == _le_oracle(table, join, meet)

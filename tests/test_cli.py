@@ -2,6 +2,7 @@
 sharding, and the exit-code contract."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from posemi import (
     ordered,
     ordered_structure_id,
 )
-from posemi.cli import main
+from posemi.cli import _fmt_bool, _line, main
 from posemi.enumeration import EnumerationConfig
 
 from conftest import FIXTURES, GOLDEN
@@ -365,6 +366,22 @@ def test_campaign_builds_no_structure(capsys, monkeypatch, scope, dedup):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert run(capsys, argv) == want
     assert want[0] == 0 and want[1].endswith(" failures=0\n")
+
+
+def test_line_is_the_id_and_five_fields():
+    # every (flags, ok) a scope can produce: three truth values for
+    # theorem1 and theorem2, (c1, remark, None) for remark, each with
+    # either ok, asked twice so the cached tails are read back too
+    sid = "0123456789abcdef"
+    truth = (True, False)
+    flags = [
+        *itertools.product(truth, repeat=3),
+        *((c1, r, None) for c1 in truth for r in truth),
+    ]
+    for _ in range(2):
+        for f, ok in itertools.product(flags, truth):
+            want = "\t".join([sid, *map(_fmt_bool, f), _fmt_bool(ok)])
+            assert _line(sid, f, ok) == want
 
 
 class TestEnumerateCommand:

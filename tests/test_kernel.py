@@ -9,13 +9,16 @@ order-5 iso stream.  The kernel must also agree on orders that are not
 compatible, where the three answers can differ.  Reversing the multiplication (S^op, same order) swaps
 left and right ideals and reverses products, so it leaves c1, c2 and c3
 unchanged: a second check on the kernel that shares no ideal code with it.
+The kernel caches one closure table per order, up to a bound: its answers
+must not depend on whether the cache is cold or warm, and the cache must
+never outgrow its bound.
 """
 
 import itertools
 
 import pytest
 
-from posemi import OrderedSemigroup, ordered_structure_id, verify_theorem1
+from posemi import OrderedSemigroup, ordered, ordered_structure_id, verify_theorem1
 from posemi.canon import ordered_digest
 from posemi.enumeration import (
     EnumerationConfig,
@@ -71,23 +74,57 @@ def test_kernel_iso_order_5_stride(iso5_stride):
     assert_kernel_agrees(iso5_stride)
 
 
-def test_kernel_on_orders_outside_the_theorem():
-    # On a compatible order c2 and c3 always equal c1, and so would any
-    # M(t) between (t] and (t u tS u St]: every such triple product puts
-    # t^2 in each product.  With every order of a table, compatible or
-    # not, the three answers differ, so these cases check how the kernel
-    # builds R(t), M(t) and L(t).  Every labeled order-3 case and every
-    # 97th order-4 case.
-    cases = [
+def _outside_cases():
+    """Every labeled order-3 (table, order) case, compatible or not, and
+    every 97th order-4 case."""
+    return [
         *itertools.product(associative_tables(3), all_posets(3)),
         *itertools.islice(
             itertools.product(associative_tables(4), all_posets(4)), 0, None, 97
         ),
     ]
+
+
+def test_kernel_on_orders_outside_the_theorem():
+    # On a compatible order c2 and c3 always equal c1, and so would any
+    # M(t) between (t] and (t u tS u St]: every such triple product puts
+    # t^2 in each product.  With every order of a table, compatible or
+    # not, the three answers differ, so these cases check how the kernel
+    # builds R(t), M(t) and L(t).
+    cases = _outside_cases()
     assert len(cases) == 113 * 19 + 7884
     assert_kernel_agrees(cases)
     flags = {theorem1_flags(table, leq) for table, leq in cases}
     assert {(False, True, True), (False, False, True)} <= flags
+
+
+def test_closure_cache_cold_and_warm():
+    # the outside-the-theorem cases, and every order of each iso order-4
+    # table: answers with each closure table built afresh must equal those
+    # read from the cache
+    iso_tables = {t for t, _ in ordered_pairs(EnumerationConfig(4, "up_to_iso"))}
+    cases = _outside_cases() + list(itertools.product(iso_tables, all_posets(4)))
+    cold = []
+    for table, leq in cases:
+        ordered._down_table.cache_clear()
+        cold.append(theorem1_flags(table, leq))
+    for table, leq in cases:  # warm the cache with every order
+        theorem1_flags(table, leq)
+    assert [theorem1_flags(table, leq) for table, leq in cases] == cold
+    assert ordered._down_table.cache_info().currsize == 19 + 219
+
+
+def test_closure_cache_is_bounded():
+    cache = ordered._down_table
+    bound = cache.cache_info().maxsize
+    assert bound == ordered._DOWN_TABLES
+    posets = [leq for n in range(1, 6) for leq in all_posets(n)]
+    assert len(posets) == 1 + 3 + 19 + 219 + 4231 > bound
+    cache.cache_clear()
+    for leq in posets:
+        cache(leq)
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound
 
 
 def test_kernel_reversal_symmetry(iso4):
