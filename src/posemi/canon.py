@@ -12,10 +12,11 @@ meet) and is kept when it is a boolean relation.  Inside this module a matrix
 is a row-major list of cells, and a structure is a list of (cells, values)
 parts.  One builder (`relabel`), one comparison that stops at the first
 differing cell (`cmp_relabeled`) and one least-search (`least_relabeling`)
-serve the enumeration's lex-leader search, which takes the pairs directly,
-its canonicity test (`is_least`) and the canonical forms.  The least-search
-also keys the enumeration's lattice classes: two labeled lattices are
-isomorphic exactly when their joins have the same least relabeling.
+serve the canonical forms; the enumeration's lex-leader searches take the
+pairs directly.  `is_least` is the tests' canonicity oracle for those
+searches.  The least-search also keys the enumeration's lattice classes:
+two labeled lattices are isomorphic exactly when their joins have the same
+least relabeling.
 
 The table is always compared first, so canonical forms find the least
 relabeled table and the relabelings that reach it once per table, and
@@ -86,7 +87,8 @@ def cmp_relabeled(parts, perm, src, refs):
 
 def is_least(parts, perms):
     """True when no (perm, src) in perms relabels the (matrix, values) parts
-    to something smaller; the enumeration's canonicity test."""
+    to something smaller; the tests' oracle for the enumeration's lex-leader
+    pruning."""
     flat = [(row_major(mat), values) for mat, values in parts]
     refs = [cells for cells, _ in flat]
     return all(cmp_relabeled(flat, perm, src, refs) >= 0 for perm, src in perms)

@@ -17,14 +17,18 @@ canon.DEDUP_CAP, the cap of the canonical forms and ids.
 Deduplication keeps exactly the structures that equal their own canonical
 relabeling, so the up_to_iso stream is the set of canonical forms of the raw
 stream, one representative per isomorphism class.  The table part is
-deduplicated during the search by lex-leader pruning: every node keeps the
-relabelings that could still make its table row-major smaller, and cuts the
-subtree as soon as one of them does on the cells known so far.  The
-relabelings are canon's (perm, src) pairs, taken as they are.  Each leaf
-then comes with its automorphisms (the pairs still live), and the order
-part is kept when none of them makes it smaller (canon.is_least).  The le
-search prunes by the automorphisms of the lattice instead and
-canonicalizes what it keeps.
+deduplicated during the search by lex-leader pruning: each relabeling that
+could still make the table row-major smaller waits in the watch list of the
+cell its comparison needs next, setting a cell resumes that cell's list
+alone, and the subtree is cut as soon as one of them is smaller on the
+cells known so far.  The relabelings are canon's (perm, src) pairs, taken as
+they are.  Each leaf then comes with its automorphisms (the pairs equal on
+every cell), and the order walk prunes by them the same way: at each node
+the cells before the pair being decided are final, and the node is cut as
+soon as an automorphism relabels them to something smaller.  The tests
+hold both to canon.is_least over every relabeling.  The le search prunes
+by the automorphisms of the lattice instead and canonicalizes what it
+keeps.
 """
 
 from __future__ import annotations
@@ -68,21 +72,27 @@ def _fill(n, hook=None, perms=()):
 
     perms, (perm, src) relabelings from canon.relabelings, makes the search
     keep only the tables that no perm relabels to a row-major smaller table
-    (lex-leader pruning).  Each node keeps the perms still live, each with
-    the first cell at which its relabeled partial table is not yet known to
-    equal the table.  After a cell is set, every live perm resumes its
-    comparison there and stops at the first cell unset on either side: a
-    smaller relabeled cell prunes the subtree, a larger one drops the perm
-    for the subtree.  At a leaf every cell is known, so the perms still live
-    are the table's automorphisms among perms.
+    (lex-leader pruning).  A perm compares its relabeled table with the
+    table cell by cell; at cell f it reads cells f and src[f], so it waits
+    on the later of the two, max(f, src[f]).  Each live perm sits in the
+    watch list of the cell it waits on, and setting cell k resumes the perms
+    of list k alone: each compares on until it waits on an unset cell and
+    moves to that cell's list, and a smaller relabeled cell prunes the
+    subtree, a larger one drops the perm for the subtree.  Backtracking
+    undoes the moves.  List n * n holds the perms that compared equal on
+    every cell: at a leaf, the table's automorphisms among perms, yielded in
+    the order of perms.  Without perms no list is kept.
     """
     rng = range(n)
     size = n * n
     table = [[-1] * n for _ in rng]
     cells = [-1] * size  # table in row-major order, for the comparisons
     preimage = [[] for _ in rng]  # preimage[v]: set cells (a, b) with ab = v
-    # relabeled cell k is perm[cells[src[k]]]
-    live0 = [(0, perm, src) for perm, src in perms]
+    # watch[w]: (f, perm, src) whose relabeled cell f, perm[cells[src[f]]],
+    # is next compared, once cell w = max(f, src[f]) is set
+    watch = [[] for _ in range(size + 1)] if perms else None
+    for perm, src in perms:
+        watch[src[0]].append((0, perm, src))
 
     def consistent(i, j, v):
         row_i = table[i]
@@ -117,30 +127,40 @@ def _fill(n, hook=None, perms=()):
                     return False
         return True
 
-    def still_live(live, k):
-        """The live perms once cells 0..k are set, or None when one of them
-        relabels the table to a smaller one."""
-        out = []
-        for f, perm, src in live:
-            while f <= k:
-                x = cells[src[f]]
-                if x < 0:
-                    out.append((f, perm, src))
-                    break
-                x = perm[x]
+    def resume(k):
+        """Move the perms of watch[k] on once cell k is set; the lists they
+        moved to, or None, with nothing moved, when one of them relabels the
+        table to a smaller one."""
+        moved = []
+        for f, perm, src in watch[k]:
+            while f < size:
+                s = src[f]
+                w = s if s > f else f
+                if w > k:
+                    break  # waits on cell w
+                x = perm[cells[s]]
                 y = cells[f]
-                if x < y:
-                    return None
-                if x > y:
+                if x != y:
+                    if x < y:
+                        for out in moved:
+                            out.pop()
+                        return None
+                    w = -1  # larger: dropped
                     break
                 f += 1
             else:
+                w = size  # equal on every cell
+            if w >= 0:
+                out = watch[w]
                 out.append((f, perm, src))
-        return out
+                moved.append(out)
+        return moved
 
-    def fill(k, live):
+    def fill(k):
         if k == size:
-            yield tuple(tuple(row) for row in table), [e[1:] for e in live]
+            # sorted by perm: the order of canon.relabelings
+            auts = sorted(e[1:] for e in watch[size]) if watch else []
+            yield tuple(tuple(row) for row in table), auts
             return
         i, j = divmod(k, n)
         row = table[i]
@@ -148,15 +168,17 @@ def _fill(n, hook=None, perms=()):
             row[j] = v
             cells[k] = v
             if consistent(i, j, v) and (hook is None or hook(table, i, j)):
-                sub = still_live(live, k) if live else live
-                if sub is not None:
+                moved = resume(k) if watch else ()
+                if moved is not None:
                     preimage[v].append((i, j))
-                    yield from fill(k + 1, sub)
+                    yield from fill(k + 1)
                     preimage[v].pop()
+                    for out in moved:
+                        out.pop()
         row[j] = -1
         cells[k] = -1
 
-    return fill(0, live0)
+    return fill(0)
 
 
 def associative_tables(n):
@@ -181,13 +203,23 @@ def enumerate_semigroups(cfg):
     return (table for table, _ in _semigroup_tables(cfg.order, cfg.dedup))
 
 
-def _compatible_orders(table):
+def _compatible_orders(table, auts=()):
     """Partial orders compatible with the table on both sides, ascending by
     encoding.  Each is the transitive closure of the least compatible
     preorders C(a, b), generated by (uav, ubv) for u, v in S^1, over its
     pairs.  The walk decides the pairs in row-major order, first leaving a
     pair out and then adding its C(a, b), and drops a branch that closes to
-    a 2-cycle or to a pair left out earlier."""
+    a 2-cycle or to a pair left out earlier.
+
+    auts, (perm, src) automorphisms of the table, makes the walk keep only
+    the orders that no aut relabels to a row-major smaller order (lex-leader
+    pruning, as in _fill).  At each node every cell before the pair being
+    decided is final, so each aut still live compares its relabeled order
+    with the order over those cells, from where it stopped: a smaller
+    relabeled cell prunes the node, a larger one drops the aut for the
+    subtree, and a cell not final on either side stops it until a later
+    node.
+    """
     n = len(table)
     rng = range(n)
     lefts = {tuple(rng), *map(tuple, table)}  # x -> ux for u in S^1
@@ -195,26 +227,53 @@ def _compatible_orders(table):
     pairs = [(a, b) for a in rng for b in rng if a != b]
     gens = [{(m[a], m[b]) for m in maps if m[a] != m[b]} for a, b in pairs]
     as_tuple = [tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n)]
-    stack = [(0, tuple(1 << i for i in rng))]  # bit j of rows[i]: i <= j
+    cell = [divmod(p, n) for p in range(n * n)]  # cell p: bit j of rows[i]
+
+    def advance(live, rows, final):
+        """The (f, src) of live compared on over the cells before final, the
+        larger ones dropped; None when one of them is smaller there."""
+        still = []
+        for f, src in live:  # the relabeled cell f is cell src[f]
+            while f < final and src[f] < final:
+                i, j = cell[src[f]]
+                x = rows[i] >> j & 1
+                i, j = cell[f]
+                if x != rows[i] >> j & 1:
+                    if not x:
+                        return None
+                    break
+                f += 1
+            else:
+                still.append((f, src))
+        return still
+
+    last = len(pairs)
+    stack = [(0, tuple(1 << i for i in rng), [(0, src) for _, src in auts])]
     while stack:
-        k, rows = stack.pop()
-        while k < len(pairs) and rows[pairs[k][0]] >> pairs[k][1] & 1:
-            k += 1  # already held
-        if k == len(pairs):
-            yield tuple(as_tuple[r] for r in rows)
-            continue
-        closed = rows
-        for x, y in gens[k]:  # (x, y) adds the row of y to each row holding x
-            up = closed[y]
-            if up >> x & 1:
-                break  # y <= x already: a 2-cycle
-            if not closed[x] >> y & 1:
-                closed = tuple(r | up if r >> x & 1 else r for r in closed)
-        else:  # the pairs decided before (a, b) must be unchanged
-            a, b = pairs[k]
-            if closed[:a] == rows[:a] and not (closed[a] ^ rows[a]) & ((1 << b) - 1):
-                stack.append((k + 1, closed))
-        stack.append((k + 1, rows))
+        k, rows, live = stack.pop()  # bit j of rows[i]: i <= j
+        while True:  # the branch that leaves pair k out goes on here
+            while k < last and rows[pairs[k][0]] >> pairs[k][1] & 1:
+                k += 1  # already held
+            if live:
+                a, b = pairs[k] if k < last else (n, 0)
+                live = advance(live, rows, a * n + b)  # the cells before are final
+                if live is None:
+                    break
+            if k == last:
+                yield tuple(map(as_tuple.__getitem__, rows))
+                break
+            closed = rows
+            for x, y in gens[k]:  # (x, y) adds the row of y to each row holding x
+                up = closed[y]
+                if up >> x & 1:
+                    break  # y <= x already: a 2-cycle
+                if not closed[x] >> y & 1:
+                    closed = tuple([r | up if r >> x & 1 else r for r in closed])
+            else:  # the pairs decided before (a, b) must be unchanged
+                a, b = pairs[k]
+                if closed[:a] == rows[:a] and not (closed[a] ^ rows[a]) & ((1 << b) - 1):
+                    stack.append((k + 1, closed, live))
+            k += 1
 
 
 @lru_cache(maxsize=None)
@@ -237,14 +296,13 @@ def ordered_pairs(cfg):
     dedup="up_to_iso" keeps canonical (table, order) pairs: the table part
     must itself be canonical, and only table automorphisms, which the search
     yields with the table, can then relabel the pair without disturbing it,
-    so the order part is kept when it is minimal under those automorphisms.
-    A table without automorphisms (every table of the raw stream) keeps
-    every order.
+    so the order part must be minimal under those automorphisms, and the
+    walk is pruned by them.  A table without automorphisms (every table of
+    the raw stream) keeps every order.
     """
     for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
-        for leq in enumerate_compatible_orders(table):
-            if not auts or canon.is_least(((leq, False),), auts):
-                yield table, leq
+        for leq in _compatible_orders(table, auts):
+            yield table, leq
 
 
 def enumerate_ordered_semigroups(cfg):

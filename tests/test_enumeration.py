@@ -25,6 +25,7 @@ from posemi import (
 from posemi.canon import is_least, least_relabeling, relabelings, row_major
 from posemi.enumeration import (
     EnumerationConfig,
+    _compatible_orders,
     _fill,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
@@ -376,7 +377,7 @@ class TestSymmetryBreaking:
         got = enumerate_semigroups(EnumerationConfig(order=n, dedup="up_to_iso"))
         assert list(got) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_ordered_match_filtered_raw(self, n):
         perms = relabelings(n)[1:]
         expected = [
@@ -387,6 +388,31 @@ class TestSymmetryBreaking:
         cfg = EnumerationConfig(order=n, dedup="up_to_iso")
         got = enumerate_ordered_semigroups(cfg)
         assert [(s.table, s.leq) for s in got] == expected
+
+    @staticmethod
+    def filtered_walk(table, auts):
+        return [
+            leq
+            for leq in enumerate_compatible_orders(table)
+            if is_least(((leq, False),), auts)
+        ]
+
+    def test_pruned_walk_matches_filtered_walk(self):
+        # the walk pruned by the table's automorphisms keeps exactly the
+        # orders of the plain walk that no automorphism makes smaller, in
+        # the same order: every 25th order-5 iso table
+        tables = _fill(5, perms=relabelings(5)[1:])
+        for t, auts in itertools.islice(tables, 0, None, 25):
+            assert list(_compatible_orders(t, auts)) == self.filtered_walk(t, auts)
+
+    def test_pruned_walk_on_the_order_six_constant_table(self):
+        # order-6 table 0, xy = 0, has 119 automorphisms and all 130,023
+        # posets as compatible orders, of which 1,533 are kept
+        t, auts = next(_fill(6, perms=relabelings(6)[1:]))
+        assert t == ((0,) * 6,) * 6 and len(auts) == 119
+        got = list(_compatible_orders(t, auts))
+        assert len(got) == 1533
+        assert got == self.filtered_walk(t, auts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_le_match_filtered_raw(self, n):

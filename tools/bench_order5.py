@@ -68,8 +68,7 @@ CAMPAIGNS = [
 # scope -> {"module.function": layer}
 _ORDERED = {
     "enumeration._semigroup_tables": "enumeration",
-    "enumeration.enumerate_compatible_orders": "walk",
-    "canon.is_least": "walk",
+    "enumeration._compatible_orders": "walk",
     "canon.ordered_digest": "ids",
 }
 LAYERS = {
