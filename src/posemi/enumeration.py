@@ -203,6 +203,17 @@ def enumerate_semigroups(cfg):
     return (table for table, _ in _semigroup_tables(cfg.order, cfg.dedup))
 
 
+@lru_cache(maxsize=None)
+def _walk_lookups(n):
+    """For the order walk on n points: the pairs (a, b), a != b, in
+    row-major order, each row bitmask as a tuple of bools, and the
+    (row, column) of each cell."""
+    rng = range(n)
+    pairs = tuple((a, b) for a in rng for b in rng if a != b)
+    as_tuple = tuple(tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n))
+    return pairs, as_tuple, tuple(divmod(p, n) for p in range(n * n))
+
+
 def _compatible_orders(table, auts=()):
     """Partial orders compatible with the table on both sides, ascending by
     encoding.  Each is the transitive closure of the least compatible
@@ -210,6 +221,13 @@ def _compatible_orders(table, auts=()):
     pairs.  The walk decides the pairs in row-major order, first leaving a
     pair out and then adding its C(a, b), and drops a branch that closes to
     a 2-cycle or to a pair left out earlier.
+
+    A node's relation holds its parent's, and closure is monotone, so a
+    pair whose C(a, b) closes to a 2-cycle at a node does so at every node
+    below it: each node hands the pairs that died that way to its children,
+    which skip them.  The children are pushed while the node leaves pair
+    after pair out and popped once it is done, so they share one cell that
+    is complete by then.
 
     auts, (perm, src) automorphisms of the table, makes the walk keep only
     the orders that no aut relabels to a row-major smaller order (lex-leader
@@ -224,10 +242,8 @@ def _compatible_orders(table, auts=()):
     rng = range(n)
     lefts = {tuple(rng), *map(tuple, table)}  # x -> ux for u in S^1
     maps = lefts | {tuple(table[x][v] for x in row) for row in lefts for v in rng}
-    pairs = [(a, b) for a in rng for b in rng if a != b]
+    pairs, as_tuple, cell = _walk_lookups(n)
     gens = [{(m[a], m[b]) for m in maps if m[a] != m[b]} for a, b in pairs]
-    as_tuple = [tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n)]
-    cell = [divmod(p, n) for p in range(n * n)]  # cell p: bit j of rows[i]
 
     def advance(live, rows, final):
         """The (f, src) of live compared on over the cells before final, the
@@ -248,12 +264,14 @@ def _compatible_orders(table, auts=()):
         return still
 
     last = len(pairs)
-    stack = [(0, tuple(1 << i for i in rng), [(0, src) for _, src in auts])]
+    stack = [(0, tuple(1 << i for i in rng), [(0, src) for _, src in auts], [0])]
     while stack:
-        k, rows, live = stack.pop()  # bit j of rows[i]: i <= j
+        k, rows, live, above = stack.pop()  # bit j of rows[i]: i <= j
+        dead = above[0]  # bit k: pair k closes to a 2-cycle with rows
+        handed = [dead]  # the children's cell, completed below
         while True:  # the branch that leaves pair k out goes on here
-            while k < last and rows[pairs[k][0]] >> pairs[k][1] & 1:
-                k += 1  # already held
+            while k < last and (dead >> k | rows[pairs[k][0]] >> pairs[k][1]) & 1:
+                k += 1  # dead, or already held
             if live:
                 a, b = pairs[k] if k < last else (n, 0)
                 live = advance(live, rows, a * n + b)  # the cells before are final
@@ -266,14 +284,16 @@ def _compatible_orders(table, auts=()):
             for x, y in gens[k]:  # (x, y) adds the row of y to each row holding x
                 up = closed[y]
                 if up >> x & 1:
-                    break  # y <= x already: a 2-cycle
+                    dead |= 1 << k  # y <= x already: a 2-cycle
+                    break
                 if not closed[x] >> y & 1:
                     closed = tuple([r | up if r >> x & 1 else r for r in closed])
             else:  # the pairs decided before (a, b) must be unchanged
                 a, b = pairs[k]
                 if closed[:a] == rows[:a] and not (closed[a] ^ rows[a]) & ((1 << b) - 1):
-                    stack.append((k + 1, closed, live))
+                    stack.append((k + 1, closed, live, handed))
             k += 1
+        handed[0] = dead
 
 
 @lru_cache(maxsize=None)

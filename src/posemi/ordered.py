@@ -364,13 +364,17 @@ def _check_condition_kind(kind):
 
 
 def _principal_triples(s, kind):
-    """(R(t), M(t), L(t)) for every element t: the right, kind- and left
-    ideals generated by t."""
+    """[R(t)], [M(t)], [L(t)] over the elements t: the right, kind- and left
+    ideals generated by t.  R(t) and L(t) serve both kinds, so they are
+    built once per structure and kept with its ideal families."""
     _check_condition_kind(kind)
-    return [
-        tuple(gen_ideal(s, 1 << t, k) for k in ("right", kind, "left"))
-        for t in range(s.n)
-    ]
+    rng = range(s.n)
+    if "principal" not in s._ideals:
+        s._ideals["principal"] = tuple(
+            [gen_ideal(s, 1 << t, k) for t in rng] for k in ("right", "left")
+        )
+    right, left = s._ideals["principal"]
+    return right, [gen_ideal(s, 1 << t, kind) for t in rng], left
 
 
 def _outside(s, t, y, m, x):
@@ -395,7 +399,7 @@ def condition_holds(s, kind):
     inclusion every candidate t fails its principal check, so only those
     elements are tried.
     """
-    right, mid, left = zip(*_principal_triples(s, kind))
+    right, mid, left = _principal_triples(s, kind)
     failing = [t for t in range(s.n) if _outside(s, t, left[t], mid[t], right[t])]
     if not failing:
         return True
@@ -414,9 +418,10 @@ def condition_holds(s, kind):
 def _table_products(table):
     """The order-free part of `theorem1_flags` for one table (nested tuples,
     the cache key): the row union tables rows[i][m] = {i*j : j in m}, the
-    elements of every mask, and for every element t the masks tS, St, tSt
-    and S t^2 S.  Campaigns take every order of a table in a row, so one
-    cached table serves them all."""
+    elements of every mask, for every element t the masks tS, St, tSt and
+    S t^2 S, and a one-element list that `theorem1_flags` keeps the
+    down-sets (t] of an all-true order in.  Campaigns take every order of a
+    table in a row, so one cached table serves them all."""
     n = len(table)
     full = (1 << n) - 1
     rows = [_union_tables([1 << v for v in row]) for row in table]
@@ -432,7 +437,7 @@ def _table_products(table):
     st = [product(full, 1 << t) for t in range(n)]
     tst = [product(a, 1 << t) for t, a in enumerate(ts)]
     sa2s = [product(full, ts[table[a][a]]) for a in range(n)]
-    return rows, members, ts, st, tst, sa2s
+    return rows, members, ts, st, tst, sa2s, [None]
 
 
 # The closure tables of the last _DOWN_TABLES orders.  Campaigns meet the
@@ -462,10 +467,22 @@ def theorem1_flags(table, leq):
     M(t) = (t u tSt] (bi) or (t u ((tS] n (St])] (quasi), c2 and c3 hold
     iff every t lies in (L(t) M(t) R(t)], as in `condition_holds`; c1 holds
     iff every a lies in (S a^2 S].
+
+    Every step above (union, product, intersection, closure) is monotone
+    in the relation, so a relation that contains one with every flag true
+    has every flag true too, compatible or not.  The down-sets (t] of the
+    last such order on the table are kept with its products, and an order
+    whose down-sets contain them all is answered at once.
     """
-    rows, members, ts, st, tst, sa2s = _table_products(table)
+    rows, members, ts, st, tst, sa2s, held = _table_products(table)
     rng = range(len(table))
     down = _down_table(leq)
+    if held[0] is not None:
+        for t, r in enumerate(held[0]):
+            if r & ~down[1 << t]:
+                break
+        else:
+            return True, True, True
     right = [down[1 << t | ts[t]] for t in rng]
     left = [down[1 << t | st[t]] for t in rng]
 
@@ -481,11 +498,14 @@ def theorem1_flags(table, leq):
                 return False
         return True
 
-    return (
+    flags = (
         all(down[sa2s[a]] >> a & 1 for a in rng),
         holds([down[1 << t | tst[t]] for t in rng]),
         holds([down[1 << t | (down[ts[t]] & down[st[t]])] for t in rng]),
     )
+    if all(flags):
+        held[0] = [down[1 << t] for t in rng]
+    return flags
 
 
 def verify_theorem1(s):

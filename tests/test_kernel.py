@@ -9,12 +9,14 @@ order-5 iso stream.  The kernel must also agree on orders that are not
 compatible, where the three answers can differ.  Reversing the multiplication (S^op, same order) swaps
 left and right ideals and reverses products, so it leaves c1, c2 and c3
 unchanged: a second check on the kernel that shares no ideal code with it.
-The kernel caches one closure table per order, up to a bound: its answers
-must not depend on whether the cache is cold or warm, and the cache must
-never outgrow its bound.
+The kernel caches one closure table per order, up to a bound, and answers
+an order that contains the last all-true order of its table at once: its
+answers must not depend on whether either is cold or warm, nor on the order
+in which a table's orders come, and the cache must never outgrow its bound.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -47,13 +49,23 @@ def iso4():
 
 
 @pytest.fixture(scope="module")
-def iso5_stride():
+def iso5_walk():
+    """Every ORDER5_STRIDE-th pair of the order-5 iso stream, with the
+    kernel's answers from a pass over every pair in stream order, as a
+    campaign makes them."""
     cfg = EnumerationConfig(order=5, dedup="up_to_iso")
-    return list(itertools.islice(ordered_pairs(cfg), 0, None, ORDER5_STRIDE))
+    got = [(pair, theorem1_flags(*pair)) for pair in ordered_pairs(cfg)]
+    return got[::ORDER5_STRIDE]
 
 
-def assert_kernel_agrees(pairs):
-    got = [theorem1_flags(table, leq) for table, leq in pairs]
+@pytest.fixture(scope="module")
+def iso5_stride(iso5_walk):
+    return [pair for pair, _ in iso5_walk]
+
+
+def assert_kernel_agrees(pairs, got=None):
+    if got is None:
+        got = [theorem1_flags(table, leq) for table, leq in pairs]
     reports = [verify_theorem1(OrderedSemigroup(table, leq)) for table, leq in pairs]
     assert got == [(r.c1, r.c2, r.c3) for r in reports]
     # both answers occur, for each condition
@@ -69,9 +81,10 @@ def test_kernel_raw_order_3():
     assert_kernel_agrees(_pairs(3, dedup="none"))
 
 
-def test_kernel_iso_order_5_stride(iso5_stride):
-    assert len(iso5_stride) == 2050
-    assert_kernel_agrees(iso5_stride)
+def test_kernel_iso_order_5_stride(iso5_walk):
+    assert len(iso5_walk) == 2050
+    pairs, got = zip(*iso5_walk)
+    assert_kernel_agrees(pairs, list(got))
 
 
 def _outside_cases():
@@ -98,20 +111,47 @@ def test_kernel_on_orders_outside_the_theorem():
     assert {(False, True, True), (False, False, True)} <= flags
 
 
-def test_closure_cache_cold_and_warm():
-    # the outside-the-theorem cases, and every order of each iso order-4
-    # table: answers with each closure table built afresh must equal those
-    # read from the cache
+@pytest.fixture(scope="module")
+def cold_cases():
+    """The outside-the-theorem cases and every order of each iso order-4
+    table, with the kernel's answer to each from nothing cached: no closure
+    table, no table products and so no all-true order."""
     iso_tables = {t for t, _ in ordered_pairs(EnumerationConfig(4, "up_to_iso"))}
     cases = _outside_cases() + list(itertools.product(iso_tables, all_posets(4)))
     cold = []
     for table, leq in cases:
         ordered._down_table.cache_clear()
+        ordered._table_products.cache_clear()
         cold.append(theorem1_flags(table, leq))
+    return cases, cold
+
+
+def test_closure_cache_cold_and_warm(cold_cases):
+    # answers read from the cache must equal those with each closure table
+    # built afresh
+    cases, cold = cold_cases
     for table, leq in cases:  # warm the cache with every order
         theorem1_flags(table, leq)
     assert [theorem1_flags(table, leq) for table, leq in cases] == cold
     assert ordered._down_table.cache_info().currsize == 19 + 219
+
+
+def test_all_true_order_cold_and_warm(cold_cases):
+    # each table's orders, compatible or not, in reverse and in a seeded
+    # shuffle: the answers with the table's last all-true order kept must
+    # equal the cold ones, whichever orders came before
+    cases, cold = cold_cases
+    rng = random.Random(21)
+    by_table = itertools.groupby(zip(cases, cold), key=lambda case: case[0][0])
+    held = 0
+    for table, group in by_table:
+        group = list(group)
+        for feed in (group[::-1], rng.sample(group, len(group))):
+            ordered._table_products.cache_clear()
+            got = [theorem1_flags(*case) for case, _ in feed]
+            assert got == [flags for _, flags in feed], table
+            held += ordered._table_products(table)[-1][0] is not None
+    assert held > 0
 
 
 def test_closure_cache_is_bounded():

@@ -108,6 +108,26 @@ def test_no_family_needed(monkeypatch, ordered_universe_3):
     assert failing > 0
 
 
+def test_principal_ideals_built_once(monkeypatch, ordered_universe_3):
+    # verify_theorem1 answers bi and quasi from one R(t) and one L(t) per
+    # element, and its answers stay the scan's
+    made = []
+    gen_ideal = ordered.gen_ideal
+
+    def counted(s, mask, kind):
+        made.append(kind)
+        return gen_ideal(s, mask, kind)
+
+    monkeypatch.setattr(ordered, "gen_ideal", counted)
+    for s in ordered_universe_3:
+        fresh = OrderedSemigroup(s.table, s.leq)
+        made.clear()
+        report = verify_theorem1(fresh)
+        assert sorted(made) == sorted(["right", "left", "bi", "quasi"] * s.n)
+        c2, c3 = (condition_scan(s, kind) is True for kind in KINDS)
+        assert (report.c2, report.c3) == (c2, c3)
+
+
 def test_le_raw_order_4(monkeypatch):
     # the principal check runs the scan exactly when the scan finds a
     # witness: no false negatives, and no scan when the condition holds
