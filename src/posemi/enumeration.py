@@ -205,13 +205,30 @@ def enumerate_semigroups(cfg):
 
 @lru_cache(maxsize=None)
 def _walk_lookups(n):
-    """For the order walk on n points: the pairs (a, b), a != b, in
-    row-major order, each row bitmask as a tuple of bools, and the
-    (row, column) of each cell."""
+    """For the order walk on n points, whose relation is one int with bit
+    a*n + b set iff a <= b: the cells a*n + b of the pairs (a, b), a != b,
+    in row-major order, each row bitmask as a tuple of bools, and for each
+    x the column mask, bit r*n + x for every row r."""
     rng = range(n)
-    pairs = tuple((a, b) for a in rng for b in rng if a != b)
+    cells = tuple(a * n + b for a in rng for b in rng if a != b)
     as_tuple = tuple(tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n))
-    return pairs, as_tuple, tuple(divmod(p, n) for p in range(n * n))
+    column = sum(1 << r * n for r in rng)
+    return cells, as_tuple, tuple(column << x for x in rng)
+
+
+def _include(rel, gens, below, row):
+    """The partial order rel (one int, bit a*n + b set iff a <= b; row, the
+    mask of one row) closed with the generators (x, y) of gens in turn, each
+    given as (column x, x, y*n, y*n + x); -1 when one of them closes to a
+    2-cycle, 0 when one sets a bit of below."""
+    closed = rel
+    for column, x, yn, cycle in gens:
+        if closed >> cycle & 1:
+            return -1  # y <= x already
+        closed |= ((closed & column) >> x) * (closed >> yn & row)
+        if (closed ^ rel) & below:
+            return 0
+    return closed
 
 
 def _compatible_orders(table, auts=()):
@@ -222,12 +239,30 @@ def _compatible_orders(table, auts=()):
     pair out and then adding its C(a, b), and drops a branch that closes to
     a 2-cycle or to a pair left out earlier.
 
+    A relation is one int with bit a*n + b set iff a <= b, so a bit's index
+    is its cell's row-major index.  Adding a generator (x, y) to a
+    transitive relation ors row y into every row that holds x (_include):
+    column x shifted down by x marks those rows with bit r*n, and
+    multiplying by row y puts one copy of row y on each mark.  Each copy is
+    below 2^n and the marks sit n bits apart, so the copies never overlap
+    and the product has no carries.  A relation that holds x <= y already
+    has row y in every row holding x, so such a generator adds nothing.
+
+    The pairs decided before (a, b) are the bits below a*n + b, and closure
+    only adds bits, so the first of them an include sets decides that it
+    dies.  A generator of C(a, b) in one of those cells kills the include
+    unless the relation holds it, and then adds nothing: those generators
+    are one mask test before any closure, and _include ends at the first
+    of the others that sets such a bit.
+
     A node's relation holds its parent's, and closure is monotone, so a
     pair whose C(a, b) closes to a 2-cycle at a node does so at every node
     below it: each node hands the pairs that died that way to its children,
-    which skip them.  The children are pushed while the node leaves pair
-    after pair out and popped once it is done, so they share one cell that
-    is complete by then.
+    which skip them.  An include that dies on a pair decided before may
+    leave such a pair unrecorded; the children then try it again.  The
+    children are pushed while the node leaves pair after pair out and
+    popped once it is done, so they share one cell that is complete by
+    then.
 
     auts, (perm, src) automorphisms of the table, makes the walk keep only
     the orders that no aut relabels to a row-major smaller order (lex-leader
@@ -242,19 +277,26 @@ def _compatible_orders(table, auts=()):
     rng = range(n)
     lefts = {tuple(rng), *map(tuple, table)}  # x -> ux for u in S^1
     maps = lefts | {tuple(table[x][v] for x in row) for row in lefts for v in rng}
-    pairs, as_tuple, cell = _walk_lookups(n)
-    gens = [{(m[a], m[b]) for m in maps if m[a] != m[b]} for a, b in pairs]
+    cells, as_tuple, col = _walk_lookups(n)
+    row = (1 << n) - 1
+    held = []  # per pair: the generators in earlier cells, as bits
+    gens = []  # per pair: the others, as _include takes them
+    for c in cells:
+        a, b = divmod(c, n)
+        pairs = {(m[a], m[b]) for m in maps if m[a] != m[b]}
+        held.append(sum(1 << x * n + y for x, y in pairs if x * n + y < c))
+        gens.append(
+            [(col[x], x, y * n, y * n + x) for x, y in pairs if x * n + y >= c]
+        )
 
-    def advance(live, rows, final):
+    def advance(live, rel, final):
         """The (f, src) of live compared on over the cells before final, the
         larger ones dropped; None when one of them is smaller there."""
         still = []
         for f, src in live:  # the relabeled cell f is cell src[f]
             while f < final and src[f] < final:
-                i, j = cell[src[f]]
-                x = rows[i] >> j & 1
-                i, j = cell[f]
-                if x != rows[i] >> j & 1:
+                x = rel >> src[f] & 1
+                if x != rel >> f & 1:
                     if not x:
                         return None
                     break
@@ -263,35 +305,31 @@ def _compatible_orders(table, auts=()):
                 still.append((f, src))
         return still
 
-    last = len(pairs)
-    stack = [(0, tuple(1 << i for i in rng), [(0, src) for _, src in auts], [0])]
+    last = len(cells)
+    belows = [(1 << c) - 1 for c in cells]  # the cells before each pair
+    diagonal = sum(1 << i * (n + 1) for i in rng)
+    shifts = range(0, n * n, n)
+    stack = [(0, diagonal, [(0, src) for _, src in auts], [0])]
     while stack:
-        k, rows, live, above = stack.pop()  # bit j of rows[i]: i <= j
-        dead = above[0]  # bit k: pair k closes to a 2-cycle with rows
+        k, rel, live, above = stack.pop()  # bit a*n + b of rel: a <= b
+        dead = above[0]  # bit k: pair k closes to a 2-cycle with rel
         handed = [dead]  # the children's cell, completed below
         while True:  # the branch that leaves pair k out goes on here
-            while k < last and (dead >> k | rows[pairs[k][0]] >> pairs[k][1]) & 1:
+            while k < last and (dead >> k | rel >> cells[k]) & 1:
                 k += 1  # dead, or already held
             if live:
-                a, b = pairs[k] if k < last else (n, 0)
-                live = advance(live, rows, a * n + b)  # the cells before are final
-                if live is None:
+                live = advance(live, rel, cells[k] if k < last else n * n)
+                if live is None:  # the cells before are final
                     break
             if k == last:
-                yield tuple(map(as_tuple.__getitem__, rows))
+                yield tuple([as_tuple[rel >> s & row] for s in shifts])
                 break
-            closed = rows
-            for x, y in gens[k]:  # (x, y) adds the row of y to each row holding x
-                up = closed[y]
-                if up >> x & 1:
-                    dead |= 1 << k  # y <= x already: a 2-cycle
-                    break
-                if not closed[x] >> y & 1:
-                    closed = tuple([r | up if r >> x & 1 else r for r in closed])
-            else:  # the pairs decided before (a, b) must be unchanged
-                a, b = pairs[k]
-                if closed[:a] == rows[:a] and not (closed[a] ^ rows[a]) & ((1 << b) - 1):
+            if not held[k] & ~rel:  # else an earlier pair changes
+                closed = _include(rel, gens[k], belows[k], row)
+                if closed > 0:
                     stack.append((k + 1, closed, live, handed))
+                elif closed < 0:
+                    dead |= 1 << k
             k += 1
         handed[0] = dead
 

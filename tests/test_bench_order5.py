@@ -1,6 +1,7 @@
 """tools/bench_order5.py: the per-layer split of a campaign run in process
 hashes to the campaign's pin, accounts for all of its wall time and leaves
-the wrapped functions as it found them."""
+the wrapped functions as it found them, and a rerun of some scopes writes
+every other entry back as it was."""
 
 import hashlib
 import importlib
@@ -68,3 +69,33 @@ def test_split_fails_on_a_wrong_pin(tool, capsys):
         after = wrapped_attributes(tool)
         assert all(after[name] is fn for name, fn in originals.items())
     tool.split(argv, summary, sha256)
+
+
+def test_rerun_of_named_scopes_keeps_the_other_entries(tool, tmp_path, monkeypatch):
+    committed = (TOOL.parents[1] / "BENCH_order5.json").read_text()
+    out = tmp_path / "BENCH_order5.json"
+    out.write_text(committed)
+    monkeypatch.setattr(tool, "OUT", out)
+    ran = []
+    monkeypatch.setattr(
+        tool, "end_to_end", lambda argv, *pins: ran.append(argv) or [1.0]
+    )
+    monkeypatch.setattr(tool, "split", lambda argv, *pins: (2.0, {"other": 2.0}))
+    assert tool.main(["theorem1", "remark"]) == 0
+    assert [argv[1] for argv in ran] == ["theorem1", "remark"]
+    old = json.loads(committed)["campaigns"]
+    new = json.loads(out.read_text())["campaigns"]
+    assert [c["command"] for c in new] == [c["command"] for c in old]
+    for was, now in zip(old, new):
+        if now["command"].split()[2] in ("theorem1", "remark"):
+            assert now["before"] == was["before"]
+            assert now["after"]["end_to_end_s"] == 1.0
+        else:
+            assert now == was
+    # with the rerun entries put back, the file is the committed one, byte
+    # for byte: the other entries were written as they were read
+    rerun = {c["command"]: c for c in old if c["command"].split()[2] != "theorem2"}
+    back = [rerun.get(c["command"], c) for c in new]
+    assert json.dumps({"campaigns": back}, indent=2) + "\n" == committed
+    with pytest.raises(SystemExit, match="usage"):
+        tool.main(["theorem3"])

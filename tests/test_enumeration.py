@@ -10,6 +10,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posemi import (
     LeSemigroup,
@@ -27,6 +28,8 @@ from posemi.enumeration import (
     EnumerationConfig,
     _compatible_orders,
     _fill,
+    _include,
+    _walk_lookups,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
@@ -227,6 +230,64 @@ class TestCompatibleOrders:
     def test_matches_filter(self, cfg, step):
         for table in itertools.islice(enumerate_semigroups(cfg), 0, None, step):
             assert list(enumerate_compatible_orders(table)) == filtered_orders(table)
+
+
+def include_rows(rows, pairs, a, b):
+    """The walk's include on row bitmasks, the reference for _include: each
+    (x, y) ors row y into every row holding x; -1 on a 2-cycle, 0 once a
+    pair before (a, b) changes."""
+    closed = list(rows)
+    for x, y in pairs:
+        if closed[y] >> x & 1:
+            return -1
+        closed = [r | closed[y] if r >> x & 1 else r for r in closed]
+        if closed[:a] != rows[:a] or (closed[a] ^ rows[a]) & ((1 << b) - 1):
+            return 0
+    return closed
+
+
+def transitive_closure(rows):
+    for k in range(len(rows)):
+        rows = [r | rows[k] if r >> k & 1 else r for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_packed_include_matches_rows(n, data):
+    # a random partial order as rows and as one int with bit a*n + b for
+    # a <= b, a few generators (x, y), and a cell (a, b): at n = 6 the int
+    # has 36 bits, past CPython's 30-bit digit
+    point = st.integers(0, n - 1)
+    line = data.draw(st.permutations(range(n)))  # a linear extension
+    rows = [1 << a for a in range(n)]
+    for i, j in data.draw(st.lists(st.tuples(point, point), max_size=3 * n)):
+        if i < j:
+            rows[line[i]] |= 1 << line[j]
+    rows = transitive_closure(rows)
+    pair = st.tuples(point, point).filter(lambda p: p[0] != p[1])
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    cell = data.draw(st.integers(0, n * n - 1))
+    pack = lambda rows: sum(r << a * n for a, r in enumerate(rows))
+    col = _walk_lookups(n)[2]
+    gens = [(col[x], x, y * n, y * n + x) for x, y in pairs]
+    rel, below, row = pack(rows), (1 << cell) - 1, (1 << n) - 1
+    got = _include(rel, gens, below, row)
+    want = include_rows(rows, pairs, *divmod(cell, n))
+    assert got == (want if want in (-1, 0) else pack(want))
+    if got > 0:  # the closure of the order and the pairs
+        closure = list(rows)
+        for x, y in pairs:
+            closure[x] |= 1 << y
+        assert got == pack(transitive_closure(closure))
+    # the walk's shortcut: a generator in a cell before (a, b) kills the
+    # include unless the order holds it, and then changes nothing
+    if any(x * n + y < cell and not rows[x] >> y & 1 for x, y in pairs):
+        assert got in (-1, 0)
+    else:
+        later = [g for (x, y), g in zip(pairs, gens) if x * n + y >= cell]
+        assert _include(rel, later, below, row) == got
 
 
 class TestOrderedEnumeration:

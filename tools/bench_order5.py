@@ -1,12 +1,15 @@
 """Order-5 benchmark: writes BENCH_order5.json at the repo root.
 
-    python3 tools/bench_order5.py
+    python3 tools/bench_order5.py [SCOPE ...]
 
 The file holds one entry per campaign, each with "before" and "after".
-"before" is read from BENCH_order5.json and written back unchanged.
-"after" is measured on this checkout.  Its end-to-end time is the median
-of three runs of the campaign, each in a child process; the three runs
-are recorded too, since one run moves with host load.  Its per-layer split
+The campaigns of each SCOPE named (theorem1, theorem2, remark; all of them
+when none is named) are rerun, and every other entry is written back as it
+was read, so a rerun moves only what it measured.  "before" is read from
+BENCH_order5.json and written back unchanged.  "after" is measured on this
+checkout.  Its end-to-end time is the median of three runs of the
+campaign, each in a child process; the three runs are recorded too, since
+one run moves with host load.  Its per-layer split
 comes from one more run, of `cli.main` in this process, with the functions
 of `LAYERS` wrapped from outside by setting module attributes (restored
 afterwards).  A layer is the self time of its functions' calls, or of each
@@ -171,13 +174,22 @@ def split(argv, summary, sha256):
     return wall, spent
 
 
-def main():
+def main(scopes=None):
+    """Rerun the campaigns of scopes (sys.argv[1:] by default; every scope
+    when empty) and rewrite OUT, the other entries as they were."""
+    scopes = sys.argv[1:] if scopes is None else scopes
+    unknown = sorted(set(scopes) - set(LAYERS))
+    if unknown:
+        raise SystemExit(f"usage: bench_order5.py [{'|'.join(LAYERS)} ...]: {unknown}")
     sys.path.insert(0, str(SRC))
     host = f"{os.cpu_count()} vCPUs, Python {platform.python_version()}"
-    old = json.loads(OUT.read_text())["campaigns"]
-    before = {c["command"]: c["before"] for c in old}
+    old = {c["command"]: c for c in json.loads(OUT.read_text())["campaigns"]}
     campaigns = []
     for argv, summary, sha256 in CAMPAIGNS:
+        command = "posemi " + " ".join(argv)
+        if scopes and argv[1] not in scopes:
+            campaigns.append(old[command])
+            continue
         walls = end_to_end(argv, summary, sha256)
         wall, spent = split(argv, summary, sha256)
         after = {
@@ -189,9 +201,8 @@ def main():
             "in_process_s": round(wall, 3),
             "layers_s": {k: round(v, 3) for k, v in spent.items()},
         }
-        command = "posemi " + " ".join(argv)
         campaigns.append(
-            {"command": command, "before": before[command], "after": after}
+            {"command": command, "before": old[command]["before"], "after": after}
         )
         print(json.dumps({"command": command, **after}), flush=True)
     OUT.write_text(json.dumps({"campaigns": campaigns}, indent=2) + "\n")
