@@ -30,7 +30,8 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from dataclasses import fields
+from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
 
@@ -199,15 +200,14 @@ def _campaign(scope, max_order, dedup, start, step):
     with a greatest element), or for theorem2 le structures with their
     sources.  No structure object is built: each tuple goes to its scope's
     kernel (`theorem1_flags`, `theorem2_flags`, `remark_flags`); a theorem2
-    line takes the id of its source, computed once per source and kept for
-    the current order only."""
+    line takes the id of its source, computed once per source of the run."""
     sid = _id_rule(scope, dedup == "iso")
     orders = range(1, max_order + 1)
     stream = enumeration.le_sources if scope == "theorem2" else enumeration.ordered_pairs
     items = (x for n in orders for x in stream(_config(n, dedup)))
     if scope == "remark":  # (table, leq, top), for the orders with a greatest element
         items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
-    ids, order = {}, 0  # theorem2: source -> id, for the sources of one order
+    ids = {}  # theorem2: source -> id
     for item in islice(items, start, None, step):
         if scope == "remark":
             (c1, res), item_id = le.remark_flags(*item), sid(*item[:2])
@@ -216,8 +216,6 @@ def _campaign(scope, max_order, dedup, start, step):
             item_id, flags = sid(*item), ordered.theorem1_flags(*item)
         else:
             structure, source = item
-            if len(source[0]) != order:
-                ids, order = {}, len(source[0])
             item_id = ids.get(source)
             if item_id is None:
                 item_id = ids[source] = sid(*source)
@@ -278,23 +276,14 @@ def cmd_classify(args):
     s = loaded.structure
     if args.subset is not None:
         flags = ordered.classify_subset(s, _parse_subset(loaded, args.subset))
-        print(
-            f"left={_fmt_bool(flags.left)} right={_fmt_bool(flags.right)}"
-            f" quasi={_fmt_bool(flags.quasi)} bi={_fmt_bool(flags.bi)}"
-            f" downward_closed={_fmt_bool(flags.downward_closed)}"
-            f" nonempty={_fmt_bool(flags.nonempty)}"
-        )
-        return 0
-    if not isinstance(s, le.PoeSemigroup):
+    elif isinstance(s, le.PoeSemigroup):
+        flags = le.element_class(s, loaded.index_of(args.element))
+    else:
         return _usage_error(
             "element classification requires a poe_semigroup or le_semigroup file"
         )
-    flags = le.element_class(s, loaded.index_of(args.element))
-    print(
-        f"right={_fmt_bool(flags.right)} left={_fmt_bool(flags.left)}"
-        f" bi={_fmt_bool(flags.bi)} quasi={_fmt_bool(flags.quasi)}"
-        f" quasi_defined={_fmt_bool(flags.quasi_defined)}"
-    )
+    names = (f.name for f in fields(flags))  # in the order the lines show
+    print(" ".join(f"{k}={_fmt_bool(getattr(flags, k))}" for k in names))
     return 0
 
 
@@ -305,22 +294,19 @@ def cmd_generate(args):
         mask = _parse_subset(loaded, args.subset)
         got = ordered.gen_ideal(s, mask, args.kind)
         want = ordered.least_ideal_oracle(s, mask, args.kind)
-        print(_set_str(loaded.label, got))
-        if got == want:
-            print("oracle: match")
-            return 0
-        print(f"oracle: MISMATCH expected {_set_str(loaded.label, want)}")
-        return 1
-    if not isinstance(s, le.LeSemigroup):
+        show = partial(_set_str, loaded.label)
+    elif isinstance(s, le.LeSemigroup):
+        a = loaded.index_of(args.element)
+        got = le.gen_element(s, a, args.kind)
+        want = le.least_element_oracle(s, a, args.kind)
+        show = loaded.label
+    else:
         return _usage_error("element generation requires a le_semigroup file")
-    a = loaded.index_of(args.element)
-    got = le.gen_element(s, a, args.kind)
-    want = le.least_element_oracle(s, a, args.kind)
-    print(loaded.label(got))
+    print(show(got))
     if got == want:
         print("oracle: match")
         return 0
-    print(f"oracle: MISMATCH expected {loaded.label(want)}")
+    print(f"oracle: MISMATCH expected {show(want)}")
     return 1
 
 

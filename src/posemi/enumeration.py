@@ -255,15 +255,6 @@ def _compatible_orders(table, auts=()):
     are one mask test before any closure, and _include ends at the first
     of the others that sets such a bit.
 
-    A node's relation holds its parent's, and closure is monotone, so a
-    pair whose C(a, b) closes to a 2-cycle at a node does so at every node
-    below it: each node hands the pairs that died that way to its children,
-    which skip them.  An include that dies on a pair decided before may
-    leave such a pair unrecorded; the children then try it again.  The
-    children are pushed while the node leaves pair after pair out and
-    popped once it is done, so they share one cell that is complete by
-    then.
-
     auts, (perm, src) automorphisms of the table, makes the walk keep only
     the orders that no aut relabels to a row-major smaller order (lex-leader
     pruning, as in _fill).  At each node every cell before the pair being
@@ -309,14 +300,12 @@ def _compatible_orders(table, auts=()):
     belows = [(1 << c) - 1 for c in cells]  # the cells before each pair
     diagonal = sum(1 << i * (n + 1) for i in rng)
     shifts = range(0, n * n, n)
-    stack = [(0, diagonal, [(0, src) for _, src in auts], [0])]
+    stack = [(0, diagonal, [(0, src) for _, src in auts])]
     while stack:
-        k, rel, live, above = stack.pop()  # bit a*n + b of rel: a <= b
-        dead = above[0]  # bit k: pair k closes to a 2-cycle with rel
-        handed = [dead]  # the children's cell, completed below
+        k, rel, live = stack.pop()  # bit a*n + b of rel: a <= b
         while True:  # the branch that leaves pair k out goes on here
-            while k < last and (dead >> k | rel >> cells[k]) & 1:
-                k += 1  # dead, or already held
+            while k < last and rel >> cells[k] & 1:
+                k += 1  # already held
             if live:
                 live = advance(live, rel, cells[k] if k < last else n * n)
                 if live is None:  # the cells before are final
@@ -327,11 +316,8 @@ def _compatible_orders(table, auts=()):
             if not held[k] & ~rel:  # else an earlier pair changes
                 closed = _include(rel, gens[k], belows[k], row)
                 if closed > 0:
-                    stack.append((k + 1, closed, live, handed))
-                elif closed < 0:
-                    dead |= 1 << k
+                    stack.append((k + 1, closed, live))
             k += 1
-        handed[0] = dead
 
 
 @lru_cache(maxsize=None)

@@ -236,28 +236,8 @@ def _union_tables(images):
     return out
 
 
-def _bi_family(s):
-    """The bi-ideals, one filter over all 2^n subsets.
-
-    Closure and products distribute over union, so a nonempty X is a
-    bi-ideal iff (X] u XSX <= X, and (X] u XSX is the union of
-    (i] u iSj u jSi over i, j in X.  The union table is built element by
-    element from the pair images of the elements before it.  iS is the set
-    of entries in row i.  The flags agree with `classify_subset`.
-    """
-    n, full, below = s.n, s.full, s.below
-    i_s = [subset_mask(row, n) for row in s.table]
-    isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
-    table = [0]
-    for i in range(n):
-        reach = _union_tables([isj[i][j] | isj[j][i] for j in range(i)])
-        own = below[i] | isj[i][i]
-        table += [v | r | own for v, r in zip(table, reach)]
-    return {"bi": tuple(m for m in range(1, full + 1) if not table[m] & ~m)}
-
-
-def _one_sided_families(s):
-    """The right, left and quasi-ideals, each one filter over all 2^n
+def _families(s):
+    """The right, left, quasi- and bi-ideals, each one filter over all 2^n
     subsets.
 
     With the principal ideals R(t) = (t u tS] and L(t) = (t u St], and
@@ -267,31 +247,43 @@ def _one_sided_families(s):
     (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  The three share the
     two union tables.  R(t) and L(t) come from the rows of the table,
     `set_product` and `downward_closure`, not from the generators the
-    families are the oracle for.  The flags agree with `classify_subset`.
+    families are the oracle for.
+
+    Closure and products distribute over union, so a nonempty X is a
+    bi-ideal iff (X] u XSX <= X, and (X] u XSX is the union of
+    (i] u iSj u jSi over i, j in X.  That union table is built element by
+    element from the pair images of the elements before it, once the
+    one-sided tables are dropped, so a build holds at most two tables over
+    all 2^n subsets.  iS is the set of entries in row i.  The flags agree
+    with `classify_subset`.
     """
-    n, full = s.n, s.full
+    n, full, below = s.n, s.full, s.below
     masks = range(1, full + 1)
-    right = _union_tables(
-        [downward_closure(s, 1 << t | subset_mask(r, n)) for t, r in enumerate(s.table)]
-    )
+    i_s = [subset_mask(row, n) for row in s.table]
+    right = _union_tables([downward_closure(s, 1 << t | i_s[t]) for t in range(n)])
     left = _union_tables(
         [downward_closure(s, 1 << t | set_product(s, full, 1 << t)) for t in range(n)]
     )
-    return {
+    out = {
         "left": tuple(m for m in masks if not left[m] & ~m),
         "right": tuple(m for m in masks if not right[m] & ~m),
         "quasi": tuple(m for m in masks if not right[m] & left[m] & ~m),
     }
+    del right, left
+    isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
+    table = [0]
+    for i in range(n):
+        reach = _union_tables([isj[i][j] | isj[j][i] for j in range(i)])
+        own = below[i] | isj[i][i]
+        table += [v | r | own for v, r in zip(table, reach)]
+    out["bi"] = tuple(m for m in masks if not table[m] & ~m)
+    return out
 
 
 def ideal_masks(s, kind):
     """All ideals of one kind as bitmasks, ascending; cached per structure.
-
-    The bi-ideals are built on their own request; the right, left and
-    quasi-ideals together on the first request of any of them.  Each build
-    holds at most two union tables over all 2^n subsets, dropped when it
-    returns.
-    """
+    All four kinds are built together on the first request of any of them
+    (`_families`)."""
     if kind not in IDEAL_KINDS:
         raise ValueError(f"unknown ideal kind: {kind!r}")
     if s.n > SUBSET_ENUM_CAP:
@@ -300,7 +292,7 @@ def ideal_masks(s, kind):
             f" {SUBSET_ENUM_CAP}"
         )
     if kind not in s._ideals:
-        s._ideals.update(_bi_family(s) if kind == "bi" else _one_sided_families(s))
+        s._ideals.update(_families(s))
     return s._ideals[kind]
 
 

@@ -384,6 +384,33 @@ def test_line_is_the_id_and_five_fields():
             assert _line(sid, f, ok) == want
 
 
+@pytest.mark.parametrize("scope", ["theorem1", "remark", "theorem2"])
+def test_file_path_matches_raw_campaign(capsys, tmp_path, scope):
+    # every raw structure of order <= 3, written by enumerate --out and read
+    # back by verify --file, gets the raw campaign's line: theorem1 files
+    # are answered by verify_theorem1 and the campaign by theorem1_flags,
+    # theorem2 files by verify_theorem2 and the campaign by theorem2_flags;
+    # remark takes the files with a greatest element
+    kind = "le" if scope == "theorem2" else "ordered"
+    code, out, _ = run(capsys, ["verify", scope, "--max-order", "3"])
+    assert code == 0
+    *campaign, _ = out.splitlines()
+    lines = []
+    for n in (1, 2, 3):
+        outdir = tmp_path / str(n)
+        argv = ["enumerate", "--kind", kind, "--order", str(n), "--out", str(outdir)]
+        assert run(capsys, argv)[0] == 0
+        for path in sorted(outdir.iterdir()):
+            if scope == "remark" and le.greatest(load(path).structure.leq) is None:
+                continue
+            code, out, _ = run(capsys, ["verify", scope, "--file", str(path)])
+            line, *witnesses, summary = out.splitlines()
+            assert (code, summary) == (0, "# checked=1 failures=0"), path
+            assert all(w.startswith("# witness ") for w in witnesses), path
+            lines.append(line)
+    assert lines == campaign
+
+
 class TestEnumerateCommand:
     def test_stdout_stream_counts(self, capsys):
         code, out, _ = run(

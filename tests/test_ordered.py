@@ -168,22 +168,19 @@ class TestOracle:
         for kind in ("left", "right", "quasi", "bi"):
             assert least_ideal_oracle(one, 0b1, kind) == 0b1
 
-    def test_families_built_on_request(self, monkeypatch, n2):
-        # the one-sided kinds share one build and never build the bi-ideals
+    def test_one_families_build_serves_every_kind(self, monkeypatch, n2):
+        # the first request builds all four kinds; later ones are cache hits
         builds = []
-        one_sided = ordered._one_sided_families
+        families = ordered._families
 
         def counted(s):
             builds.append(s)
-            return one_sided(s)
+            return families(s)
 
-        def refuse(s):
-            raise AssertionError("bi family built")
-
-        monkeypatch.setattr(ordered, "_one_sided_families", counted)
-        monkeypatch.setattr(ordered, "_bi_family", refuse)
-        for kind in ("quasi", "left", "right"):
+        monkeypatch.setattr(ordered, "_families", counted)
+        for kind in ("quasi", "left", "right", "bi"):
             least_ideal_oracle(n2, 0b10, kind)
+            ideal_masks(n2, kind)
         assert builds == [n2]
 
     def test_cap_enforced(self):
