@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from . import canon
 from .le import LeSemigroup
-from .ordered import OrderedSemigroup
+from .ordered import OrderedSemigroup, row_masks
 
 DEDUP_MODES = ("none", "up_to_iso")
 
@@ -219,12 +219,12 @@ def _walk_lookups(n):
 def _include(rel, gens, below, row):
     """The partial order rel (one int, bit a*n + b set iff a <= b; row, the
     mask of one row) closed with the generators (x, y) of gens in turn, each
-    given as (column x, x, y*n, y*n + x); -1 when one of them closes to a
-    2-cycle, 0 when one sets a bit of below."""
+    given as (column x, x, y*n, y*n + x); 0 when one of them closes to a
+    2-cycle or sets a bit of below."""
     closed = rel
     for column, x, yn, cycle in gens:
         if closed >> cycle & 1:
-            return -1  # y <= x already
+            return 0  # y <= x already
         closed |= ((closed & column) >> x) * (closed >> yn & row)
         if (closed ^ rel) & below:
             return 0
@@ -315,7 +315,7 @@ def _compatible_orders(table, auts=()):
                 break
             if not held[k] & ~rel:  # else an earlier pair changes
                 closed = _include(rel, gens[k], belows[k], row)
-                if closed > 0:
+                if closed:
                     stack.append((k + 1, closed, live))
             k += 1
 
@@ -360,7 +360,7 @@ def all_lattices(n):
     the order encoding."""
     out = []
     for leq in all_posets(n):
-        tables = _lattice_tables(leq, n)
+        tables = _lattice_tables(leq)
         if tables is not None:
             join, meet = tables
             top = 0
@@ -370,7 +370,7 @@ def all_lattices(n):
     return tuple(out)
 
 
-def _lattice_tables(leq, n):
+def _lattice_tables(leq):
     """Join and meet tables of a poset, or None when some bound is missing.
 
     A common upper bound of i and j is their join exactly when its up-set is
@@ -378,11 +378,8 @@ def _lattice_tables(leq, n):
     one lookup of that bitmask among the up-sets, and each meet likewise
     among the down-sets.
     """
-    rng = range(n)
-    up = [sum(1 << k for k in rng if leq[i][k]) for i in rng]
-    down = [sum(1 << k for k in rng if leq[k][i]) for i in rng]
     tables = []
-    for sets in (up, down):
+    for sets in (row_masks(leq), row_masks(zip(*leq))):  # up-sets, down-sets
         by_set = {m: i for i, m in enumerate(sets)}
         table = []
         for a in sets:

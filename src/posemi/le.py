@@ -19,9 +19,8 @@ lattices and off them.  Campaigns call `remark_flags`; `check_remark` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
-from .ordered import OrderedSemigroup, _check_condition_kind, validate
+from .ordered import OrderedSemigroup, _check_condition_kind, row_masks, validate
 from .report import VerificationReport
 
 ELEMENT_KINDS = ("right", "left", "bi", "quasi")
@@ -172,8 +171,7 @@ def _element_flags(table, leq, e):
     each down-set (the glb of a set, if any, owns the intersection of their
     down-sets), and each a's (right, left, bi, quasi, quasi_defined) flags:
     ae <= a, ea <= a, aea <= a, and ae ^ ea <= a where that glb exists."""
-    bits = [1 << i for i in range(len(leq))]
-    down = [sum(compress(bits, col)) for col in zip(*leq)]
+    down = row_masks(zip(*leq))
     glb = {d: a for a, d in enumerate(down)}
     flags = []
     for a, ta in enumerate(table):

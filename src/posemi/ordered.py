@@ -61,9 +61,7 @@ class OrderedSemigroup:
         self.leq = tuple(tuple(map(bool, row)) for row in leq)
         self.n = n
         self.full = (1 << n) - 1
-        self.below = tuple(
-            sum(1 << i for i in range(n) if self.leq[i][j]) for j in range(n)
-        )
+        self.below = row_masks(zip(*self.leq))
         self._ideals = {}
 
     def __eq__(self, other):
@@ -225,6 +223,14 @@ def gen_ideal(s, x_mask, kind):
             s, set_product(s, full, x_mask)
         )
     return downward_closure(s, x_mask | core)
+
+
+def row_masks(rows):
+    """The rows of a square 0/1 matrix as bitmasks, as a tuple: bit j of
+    mask i is set iff rows[i][j].  Given zip(*leq), the down-sets."""
+    rows = tuple(rows)
+    bits = [1 << j for j in range(len(rows))]
+    return tuple([sum(compress(bits, row)) for row in rows])
 
 
 def _union_tables(images):
@@ -444,8 +450,7 @@ _DOWN_TABLES = 4096
 def _down_table(leq):
     """down[m] = (m] for every mask m, of one order (nested tuples, the
     cache key), as a tuple: every caller gets the same one."""
-    bits = [1 << i for i in range(len(leq))]
-    return tuple(_union_tables([sum(compress(bits, col)) for col in zip(*leq)]))
+    return tuple(_union_tables(row_masks(zip(*leq))))
 
 
 def theorem1_flags(table, leq):

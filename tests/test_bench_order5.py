@@ -13,7 +13,7 @@ import pytest
 
 from posemi import cli
 
-from conftest import GOLDEN
+from second_methods import pins
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_order5.py"
 
@@ -37,19 +37,19 @@ def wrapped_attributes(tool):
 
 
 @pytest.mark.parametrize(
-    "command, summary",
+    "command",
     [
-        ("verify theorem1 --max-order 4 --dedup iso", "# checked=4938 failures=0"),
-        ("verify theorem2 --max-order 4 --dedup none", "# checked=11581 failures=0"),
-        ("verify remark --max-order 4 --dedup iso", "# checked=1514 failures=0"),
+        "verify theorem1 --max-order 4 --dedup iso",
+        "verify theorem2 --max-order 4 --dedup none",
+        "verify remark --max-order 4 --dedup iso",
     ],
     ids=["theorem1", "theorem2", "remark"],
 )
-def test_split_of_an_order_four_campaign(tool, command, summary):
-    sha256 = json.loads((GOLDEN / "streams.json").read_text())[command]
+def test_split_of_an_order_four_campaign(tool, command):
+    pin = pins("streams")[command]
     originals = wrapped_attributes(tool)
     argv = command.split()
-    wall, spent = tool.split(argv, summary, sha256)
+    wall, spent = tool.split(argv, pin["summary"], pin["sha256"])
     assert set(spent) == {*tool.LAYERS[argv[1]].values(), "other"}
     assert all(seconds >= 0 for seconds in spent.values()), spent
     assert sum(spent.values()) == pytest.approx(wall)

@@ -3,11 +3,8 @@ force, compatible orders against the two-sided compatibility filter,
 canonical-form deduplication, determinism, and the pinned golden counts.
 Sharding and limits are the command line's; tests/test_cli.py covers them."""
 
-import collections
 import functools
 import itertools
-import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,15 +31,17 @@ from posemi.enumeration import (
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
-    le_sources,
-    ordered_pairs,
 )
 
-from conftest import GOLDEN, relabeled
-
-
-def golden_counts():
-    return json.loads((GOLDEN / "counts.json").read_text())
+from conftest import relabeled
+from second_methods import (
+    burnside,
+    lattice_classes,
+    le_classes,
+    le_count,
+    pins,
+    semigroup_classes,
+)
 
 
 def brute_force_semigroup_tables(n):
@@ -132,27 +131,18 @@ class TestSemigroupEnumeration:
         assert sum(1 for _ in enumerate_semigroups(EnumerationConfig(order=2))) == 8
 
     def test_golden_counts(self):
-        counts = golden_counts()["semigroups"]
-        for n, expected in counts["raw"].items():
+        # the iso counts in TestSymmetryBreaking: orders 1-4 by Burnside,
+        # order 5 by orbit-stabilizer, as is the raw order 5
+        for n, expected in pins("counts")["semigroups"]["raw"].items():
             if int(n) > 4:
-                continue  # order 5 by orbit-stabilizer, in TestSymmetryBreaking
+                continue
             got = sum(1 for _ in enumerate_semigroups(EnumerationConfig(order=int(n))))
-            assert got == expected
-        for n, expected in counts["iso"].items():
-            if int(n) > 5:
-                continue  # order 6 takes minutes; CI checks it
-            got = sum(
-                1
-                for _ in enumerate_semigroups(
-                    EnumerationConfig(order=int(n), dedup="up_to_iso")
-                )
-            )
             assert got == expected
 
     def test_anti_isomorphism_counts(self):
         # OEIS A001423: a table and its transpose, each at its least
         # relabeling, key one class; order 6 (15,973) is not pinned yet
-        for n, expected in golden_counts()["semigroups"]["anti_iso"].items():
+        for n, expected in pins("counts")["semigroups"]["anti_iso"].items():
             perms = relabelings(int(n))
             keys = set()
             cfg = EnumerationConfig(order=int(n), dedup="up_to_iso")
@@ -184,7 +174,7 @@ class TestPosets:
         assert list(all_posets(n)) == sorted(brute_force_posets(n))
 
     def test_golden_counts(self):
-        for n, expected in golden_counts()["posets"].items():
+        for n, expected in pins("counts")["posets"].items():
             assert len(all_posets(int(n))) == expected
 
     def test_order_five_are_distinct_partial_orders(self):
@@ -234,12 +224,12 @@ class TestCompatibleOrders:
 
 def include_rows(rows, pairs, a, b):
     """The walk's include on row bitmasks, the reference for _include: each
-    (x, y) ors row y into every row holding x; -1 on a 2-cycle, 0 once a
+    (x, y) ors row y into every row holding x; 0 on a 2-cycle or once a
     pair before (a, b) changes."""
     closed = list(rows)
     for x, y in pairs:
         if closed[y] >> x & 1:
-            return -1
+            return 0
         closed = [r | closed[y] if r >> x & 1 else r for r in closed]
         if closed[:a] != rows[:a] or (closed[a] ^ rows[a]) & ((1 << b) - 1):
             return 0
@@ -275,7 +265,7 @@ def test_packed_include_matches_rows(n, data):
     rel, below, row = pack(rows), (1 << cell) - 1, (1 << n) - 1
     got = _include(rel, gens, below, row)
     want = include_rows(rows, pairs, *divmod(cell, n))
-    assert got == (want if want in (-1, 0) else pack(want))
+    assert got == (want and pack(want))
     if got > 0:  # the closure of the order and the pairs
         closure = list(rows)
         for x, y in pairs:
@@ -284,7 +274,7 @@ def test_packed_include_matches_rows(n, data):
     # the walk's shortcut: a generator in a cell before (a, b) kills the
     # include unless the order holds it, and then changes nothing
     if any(x * n + y < cell and not rows[x] >> y & 1 for x, y in pairs):
-        assert got in (-1, 0)
+        assert got == 0
     else:
         later = [g for (x, y), g in zip(pairs, gens) if x * n + y >= cell]
         assert _include(rel, later, below, row) == got
@@ -292,29 +282,20 @@ def test_packed_include_matches_rows(n, data):
 
 class TestOrderedEnumeration:
     def test_golden_counts(self):
-        counts = golden_counts()["ordered_semigroups"]
-        for n, expected in counts["raw"].items():
-            if int(n) > 3:
-                continue  # order 4 in test_raw_counts_from_order_counts
-            got = sum(
-                1 for _ in enumerate_ordered_semigroups(EnumerationConfig(order=int(n)))
-            )
-            assert got == expected
-        for n, expected in counts["iso"].items():
+        # order 4 in test_raw_counts_from_order_counts; the iso counts by
+        # Burnside in TestSymmetryBreaking
+        for n, expected in pins("counts")["ordered_semigroups"]["raw"].items():
             if int(n) > 3:
                 continue
             got = sum(
-                1
-                for _ in enumerate_ordered_semigroups(
-                    EnumerationConfig(order=int(n), dedup="up_to_iso")
-                )
+                1 for _ in enumerate_ordered_semigroups(EnumerationConfig(order=int(n)))
             )
             assert got == expected
 
     def test_raw_counts_from_order_counts(self):
         # the raw stream pairs every table with every compatible order, so
         # its length is the sum of the order counts (no structure is built)
-        for n, expected in golden_counts()["ordered_semigroups"]["raw"].items():
+        for n, expected in pins("counts")["ordered_semigroups"]["raw"].items():
             got = sum(
                 sum(1 for _ in enumerate_compatible_orders(t))
                 for t in associative_tables(int(n))
@@ -346,17 +327,15 @@ class TestOrderedEnumeration:
 
 class TestLeEnumeration:
     def test_golden_counts(self):
-        # order 5 (6,738 iso, 787,560 raw) is checked by CI, two ways
-        counts = golden_counts()["le_semigroups"]
-        for dedup, key in (("none", "raw"), ("up_to_iso", "iso")):
-            for n, expected in counts[key].items():
-                if int(n) > 4:
-                    continue
-                cfg = EnumerationConfig(order=int(n), dedup=dedup)
-                assert sum(1 for _ in le_sources(cfg)) == expected
-        lat = golden_counts()["lattices"]
-        for n, expected in lat.items():
-            assert len(all_lattices(int(n))) == expected
+        # CI counts the order-6 iso stream (117,028)
+        for n in range(1, 5):
+            for dedup in ("none", "up_to_iso"):
+                le_count(n, dedup)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classes_by_orbit_stabilizer(self, n):
+        # CI runs order 5 (6,738 classes, 787,560 labeled structures)
+        le_classes(n)
 
     def test_order_two_brute_force(self):
         # both labeled 2-chains, all 16 tables, filtered by the axioms
@@ -389,21 +368,8 @@ class TestLeEnumeration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lattice_classes_by_canonical_join(self, n):
-        # le_sources keys each labeled lattice's class by its canonical join:
-        # the classes are the unlabeled lattices (OEIS A006966), and each
-        # holds n!/|Aut(J0)| labeled ones, |Aut(J0)| counted by brute force
-        perms = relabelings(n)
-        firsts = {}
-        for _, join, _, _ in all_lattices(n):
-            (least,), _ = least_relabeling(((row_major(join), True),), perms)
-            firsts.setdefault(tuple(least), join)
-        counts = golden_counts()
-        assert len(firsts) == counts["lattice_classes"][str(n)]
-        labeled = 0
-        for join in firsts.values():
-            aut = sum(relabeled(join, p) == join for p, _ in perms)
-            labeled += math.factorial(n) // aut
-        assert labeled == counts["lattices"][str(n)]
+        # CI runs order 6
+        lattice_classes(n)
 
     def test_includes_null_and_meet_chains(self, l3null, l3meet):
         members = list(enumerate_le_semigroups(EnumerationConfig(order=3)))
@@ -495,34 +461,13 @@ class TestSymmetryBreaking:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_order_classes_by_burnside(self, n):
-        # an iso table T has (1/|Aut T|) sum over g in Aut T of fix(g) order
-        # classes, fix(g) the compatible orders g leaves unchanged; CI runs
-        # order 5
-        kept = collections.Counter(
-            t for t, _ in ordered_pairs(EnumerationConfig(n, "up_to_iso"))
-        )
-        total = 0
-        for t, auts in _fill(n, perms=relabelings(n)[1:]):
-            group = [relabelings(n)[0], *auts]
-            orders = list(enumerate_compatible_orders(t))
-            fixed = sum(
-                relabeled(leq, p, values=False) == leq for p, _ in group for leq in orders
-            )
-            assert divmod(fixed, len(group)) == (kept[t], 0)
-            total += kept[t]
-        assert total == sum(kept.values())
-        assert total == golden_counts()["ordered_semigroups"]["iso"][str(n)]
+        # CI runs order 5 and every 97th order-6 table
+        burnside(n)
 
     def test_order_five_counts_by_orbit_stabilizer(self):
-        # each class of the iso stream holds 5!/|Aut(T)| labeled tables, so
-        # the raw count follows without walking the 183,732 labeled tables
-        counts = golden_counts()["semigroups"]
-        labeled = classes = 0
-        for _, auts in _fill(5, perms=relabelings(5)[1:]):
-            classes += 1
-            labeled += 120 // (len(auts) + 1)
-        assert classes == counts["iso"]["5"]
-        assert labeled == counts["raw"]["5"]
+        # the raw count without walking the 183,732 labeled tables; CI runs
+        # order 6
+        semigroup_classes(5)
 
 
 class TestCanonicalize:

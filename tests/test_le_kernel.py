@@ -25,7 +25,6 @@ from posemi import (
     le_structure_id,
     verify_theorem2,
 )
-from posemi.canon import is_least, relabelings
 from posemi.enumeration import (
     EnumerationConfig,
     _fill,
@@ -35,6 +34,8 @@ from posemi.enumeration import (
     le_sources,
 )
 from posemi.le import theorem2_flags
+
+from second_methods import le_lex_leaders
 
 # every LATTICE_STRIDE-th of the 380 labeled order-5 lattices: 9 of them, in
 # all five lattice classes
@@ -52,18 +53,6 @@ def per_lattice_fill(n, lattices):
         (table, join, meet, top)
         for _, join, meet, top in lattices
         for table, _ in _fill(n, _join_distributive(join, n))
-    ]
-
-
-def per_lattice_iso(n, lattices):
-    """The iso le stream of the given labeled lattices, searched lattice by
-    lattice with lex-leader pruning on the table."""
-    perms = relabelings(n)[1:]
-    return [
-        (table, join, meet, top)
-        for _, join, meet, top in lattices
-        for table, auts in _fill(n, _join_distributive(join, n), perms)
-        if is_least(((join, True), (meet, True)), auts)
     ]
 
 
@@ -86,7 +75,8 @@ def test_raw_stream_is_the_per_lattice_fill(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_iso_stream_is_the_per_lattice_search(n):
-    assert le_structures(iso(n)) == per_lattice_iso(n, all_lattices(n))
+    want = [structure for structure, _ in le_lex_leaders(n, all_lattices(n))]
+    assert le_structures(iso(n)) == want
 
 
 def test_raw_order_5_stride():
@@ -117,7 +107,7 @@ def test_iso_order_5_stride():
     joins = {join for _, join, _, _ in lattices}
     got = [s for s in stream if s[1] in joins]
     assert len(got) == 380
-    assert got == per_lattice_iso(5, lattices)
+    assert got == [structure for structure, _ in le_lex_leaders(5, lattices)]
 
 
 def test_iso_sources_are_the_structures():

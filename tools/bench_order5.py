@@ -16,8 +16,8 @@ afterwards).  A layer is the self time of its functions' calls, or of each
 step of the streams they return: time in wrapped calls nested inside a call
 is its inner layer's.  `other`, the run's wall time less the layers, is the
 rest of the command: argument parsing, the campaign loop, the lines and
-their printing.  Every run, child or in process, must end in the pinned
-summary line and hash to the pinned SHA-256.
+their printing.  Every run, child or in process, must end in the summary
+line and hash to the SHA-256 that tests/golden/streams.json pins for it.
 """
 
 from __future__ import annotations
@@ -37,35 +37,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "BENCH_order5.json"
+STREAMS = ROOT / "tests" / "golden" / "streams.json"
 RUNS = 3  # end-to-end runs per campaign; the median is reported
 
-# argv, pinned summary line, pinned stream SHA-256
+# the campaigns timed, each pinned in STREAMS
 CAMPAIGNS = [
-    (
-        ["verify", "theorem1", "--max-order", "5", "--dedup", "iso"],
-        "# checked=203776 failures=0",
-        "11827f6e00129acda40a6e71786f28ee99ea6f235defdbf8da0bd73774ed3013",
-    ),
-    (
-        ["verify", "theorem2", "--max-order", "5", "--dedup", "iso"],
-        "# checked=7268 failures=0",
-        "8195434b332f8ca856bd101e8f708e84a1d9cc6e8ab0fae8a3eaf690385fd42d",
-    ),
-    (
-        ["verify", "theorem2", "--max-order", "4", "--dedup", "none"],
-        "# checked=11581 failures=0",
-        "c169fd62f7d3208331e105ec2aeede44d3ad83dd80c45a7e4241dce9c664b24f",
-    ),
-    (
-        ["verify", "theorem2", "--max-order", "5", "--dedup", "none"],
-        "# checked=799141 failures=0",
-        "e2a46d30b502a1c7658a8d04b441e1891aa7297f4bbc68cbd0c506dbd28fc76d",
-    ),
-    (
-        ["verify", "remark", "--max-order", "5", "--dedup", "iso"],
-        "# checked=49239 failures=0",
-        "d3752bf986730e1da275fa84d95b857c9125e78dcd2195229a57766d0d47eb70",
-    ),
+    "verify theorem1 --max-order 5 --dedup iso",
+    "verify theorem2 --max-order 5 --dedup iso",
+    "verify theorem2 --max-order 4 --dedup none",
+    "verify theorem2 --max-order 5 --dedup none",
+    "verify remark --max-order 5 --dedup iso",
 ]
 
 # scope -> {"module.function": layer}
@@ -184,9 +165,12 @@ def main(scopes=None):
     sys.path.insert(0, str(SRC))
     host = f"{os.cpu_count()} vCPUs, Python {platform.python_version()}"
     old = {c["command"]: c for c in json.loads(OUT.read_text())["campaigns"]}
+    pins = json.loads(STREAMS.read_text())
     campaigns = []
-    for argv, summary, sha256 in CAMPAIGNS:
-        command = "posemi " + " ".join(argv)
+    for campaign in CAMPAIGNS:
+        argv = campaign.split()
+        summary, sha256 = pins[campaign]["summary"], pins[campaign]["sha256"]
+        command = "posemi " + campaign
         if scopes and argv[1] not in scopes:
             campaigns.append(old[command])
             continue
