@@ -2,14 +2,13 @@
 and inspect single structure files.
 
 Campaign report streams are deterministic: one tab-separated line per
-structure (id, c1, c2, c3, ok) followed by a summary comment.  Every scope's
-campaign runs through `_campaign`, which shards among the in-scope
-structures and builds each line with `_line`, as `verify --file` does; only
-the file path prints witness lines.  `_id_rule` alone decides ids, also in
-`enumerate --out` file names: the bare digest on iso streams, whose
-structures are their own canonical forms, and the canonical id everywhere
-else, which raw theorem2 campaigns take from each structure's isomorphic
-source.  `_stream` feeds `enumerate`.
+structure (id, c1, c2, c3, ok) followed by a summary comment.  `_answers`
+builds every line, of a campaign or of `verify --file`, from its scope's
+kernel; only the file path then searches witnesses, for the conditions
+reported false.  `_id_rule` alone decides ids, also in `enumerate --out`
+file names: the bare digest on iso streams, whose structures are their own
+canonical forms, else the canonical id, of an le structure's isomorphic
+source.  `_tuples` feeds both commands.
 
 What a run covers is decided here alone, and every flag is checked when
 the arguments are parsed.  `--order` and `--max-order` run from 1 to
@@ -138,50 +137,30 @@ def _set_str(label, mask):
     return "{" + ", ".join(label(i) for i in ordered.subset_indices(mask)) + "}"
 
 
-def _config(order, dedup):
-    dedup = "up_to_iso" if dedup == "iso" else "none"
-    return enumeration.EnumerationConfig(order, dedup)
-
-
-def _stream(kind, order, dedup, start, step):
-    """The enumerated structures of one kind and order at positions start,
-    start + step, ...: semigroups (with the discrete order), ordered
-    semigroups or le-semigroups, each built after its tuple is kept."""
-    cfg = _config(order, dedup)
-    if kind == "le":
-        items = islice(enumeration.le_sources(cfg), start, None, step)
-        return (le.LeSemigroup(t, j, m, top=top) for (t, j, m, top), _ in items)
-    if kind == "semigroup":
-        discrete = [[i == j for j in range(order)] for i in range(order)]
-        pairs = ((t, discrete) for t in enumeration.enumerate_semigroups(cfg))
-    else:
-        pairs = enumeration.ordered_pairs(cfg)
-    return (ordered.OrderedSemigroup(*p) for p in islice(pairs, start, None, step))
-
-
-def _check(scope, s):
-    """(flags, ok, failed) for one structure: c1, c2 and c3 (None for c3 in
-    the remark scope), ok, and the (condition, witness) pairs that failed."""
-    if scope == "remark":
-        c1, res = le.remark_flags(s.table, s.leq, le.greatest(s.leq))
-        ok = res is True
-        return (c1, ok, None), ok, () if ok else (("remark", res),)
-    verify = ordered.verify_theorem1 if scope == "theorem1" else le.verify_theorem2
-    report = verify(s)
-    return (report.c1, report.c2, report.c3), report.equivalence_ok, report.witnesses
+def _tuples(kind, orders, dedup):
+    """The enumerated tuples of one kind over orders, in stream order:
+    (table, leq) for "ordered", and for "semigroup" with the discrete
+    order; ((table, join, meet, top), source) for "le"."""
+    mode = "up_to_iso" if dedup == "iso" else "none"
+    for n in orders:
+        cfg = enumeration.EnumerationConfig(n, mode)
+        if kind == "le":
+            yield from enumeration.le_sources(cfg)
+        elif kind == "ordered":
+            yield from enumeration.ordered_pairs(cfg)
+        else:
+            discrete = tuple(tuple(i == j for j in range(n)) for i in range(n))
+            yield from ((t, discrete) for t in enumeration.enumerate_semigroups(cfg))
 
 
 def _id_rule(scope, iso):
-    """The scope's id function of `_parts`: on an iso campaign every
-    structure is its own canonical form, so the bare digest is its id."""
-    if scope == "theorem2":
-        return canon.le_digest if iso else canon.le_structure_id
-    return canon.ordered_digest if iso else canon.ordered_structure_id
-
-
-def _parts(scope, s):
-    """(table, join, meet) for theorem2, else (table, leq), whatever s is."""
-    return (s.table, s.join, s.meet) if scope == "theorem2" else (s.table, s.leq)
+    """The scope's id function, of (table, leq) or of an le source: on an
+    iso stream every structure is its own canonical form, so the bare
+    digest is its id.  A raw le stream repeats its sources, so theorem2's
+    raw rule is a fresh memo per call, one canonical form per source."""
+    if scope != "theorem2":
+        return canon.ordered_digest if iso else canon.ordered_structure_id
+    return canon.le_digest if iso else lru_cache(maxsize=None)(canon.le_structure_id)
 
 
 @lru_cache(maxsize=None)  # 24 (flags, ok) at most, over the three scopes
@@ -194,34 +173,37 @@ def _line(sid, flags, ok):
     return sid + _tail(flags, ok)
 
 
-def _campaign(scope, max_order, dedup, start, step):
-    """(line, ok) for the in-scope structures of orders 1..max_order at
-    positions start, start + step, ...: (table, leq) pairs (for remark those
-    with a greatest element), or for theorem2 le structures with their
-    sources.  No structure object is built: each tuple goes to its scope's
-    kernel (`theorem1_flags`, `theorem2_flags`, `remark_flags`); a theorem2
-    line takes the id of its source, computed once per source of the run."""
-    sid = _id_rule(scope, dedup == "iso")
-    orders = range(1, max_order + 1)
-    stream = enumeration.le_sources if scope == "theorem2" else enumeration.ordered_pairs
-    items = (x for n in orders for x in stream(_config(n, dedup)))
-    if scope == "remark":  # (table, leq, top), for the orders with a greatest element
-        items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
-    ids = {}  # theorem2: source -> id
-    for item in islice(items, start, None, step):
-        if scope == "remark":
-            (c1, res), item_id = le.remark_flags(*item), sid(*item[:2])
-            flags = c1, res is True, None
-        elif scope == "theorem1":
-            item_id, flags = sid(*item), ordered.theorem1_flags(*item)
+def _answers(scope, items, sid):
+    """(line, ok, answer) for each tuple of items: (table, leq) for
+    theorem1, (table, leq, top) for remark, ((table, join, meet, top),
+    source) for theorem2.  answer is what the scope's kernel returns:
+    (c1, c2, c3) from `theorem1_flags` or `theorem2_flags`, (c1, remark)
+    from `remark_flags`.  sid names each line, a theorem2 line by its
+    source; no structure object is built."""
+    for item in items:
+        if scope == "theorem1":
+            item_id = sid(*item)
+            answer = flags = ordered.theorem1_flags(*item)
+        elif scope == "theorem2":
+            item_id = sid(*item[1])
+            answer = flags = le.theorem2_flags(*item[0])
         else:
-            structure, source = item
-            item_id = ids.get(source)
-            if item_id is None:
-                item_id = ids[source] = sid(*source)
-            flags = le.theorem2_flags(*structure)
+            item_id, answer = sid(*item[:2]), le.remark_flags(*item)
+            flags = answer[0], answer[1] is True, None
         ok = flags[1] if scope == "remark" else flags[0] == flags[1] == flags[2]
-        yield _line(item_id, flags, ok), ok
+        yield _line(item_id, flags, ok), ok, answer
+
+
+def _campaign(scope, max_order, dedup, start, step):
+    """`_answers` for the in-scope tuples of orders 1..max_order at
+    positions start, start + step, ...: for remark the (table, leq) pairs
+    with a greatest element, with it."""
+    kind = "le" if scope == "theorem2" else "ordered"
+    items = _tuples(kind, range(1, max_order + 1), dedup)
+    if scope == "remark":
+        items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
+    items = islice(items, start, None, step)
+    return _answers(scope, items, _id_rule(scope, dedup == "iso"))
 
 
 def _witness_str(cond, w, label):
@@ -240,17 +222,30 @@ def _usage_error(message):
 
 
 def cmd_verify(args):
+    scope = args.scope
     if args.file is not None:
         if args.max_order is not None or args.shard or args.dedup == "iso":
             return _usage_error("--file takes no --max-order, --shard or --dedup iso")
         loaded = storage.load(args.file)
         s = loaded.structure
-        if args.scope == "theorem2" and not isinstance(s, le.LeSemigroup):
-            return _usage_error("theorem2 requires a le_semigroup file")
-        if args.scope == "remark" and le.greatest(s.leq) is None:
-            return _usage_error("remark requires a greatest element")
-        flags, ok, failed = _check(args.scope, s)
-        print(_line(_id_rule(args.scope, False)(*_parts(args.scope, s)), flags, ok))
+        item = s.table, s.leq
+        if scope == "theorem2":
+            if not isinstance(s, le.LeSemigroup):
+                return _usage_error("theorem2 requires a le_semigroup file")
+            item = (s.table, s.join, s.meet, s.top), (s.table, s.join, s.meet)
+        elif scope == "remark":
+            if (top := le.greatest(s.leq)) is None:
+                return _usage_error("remark requires a greatest element")
+            item += (top,)
+        [(line, ok, answer)] = _answers(scope, [item], _id_rule(scope, False))
+        print(line)
+        find = ordered.condition_holds if scope == "theorem1" else le.le_condition_scan
+        # a witness for each condition the kernel reports false: the remark's is its own
+        if scope == "remark":
+            failed = () if answer[1] is True else (("remark", answer[1]),)
+        else:
+            kinds = zip(("c2", "c3"), ordered.CONDITION_KINDS, answer[1:])
+            failed = [(c, find(s, kind)) for c, kind, holds in kinds if not holds]
         for c, w in failed:
             print(f"# witness {c} {_witness_str(c, w, loaded.label)}")
         print(f"# checked=1 failures={0 if ok else 1}")
@@ -260,7 +255,7 @@ def cmd_verify(args):
     start, step = args.shard or (0, 1)
     checked = 0
     failed = []
-    for line, ok in _campaign(args.scope, args.max_order, args.dedup, start, step):
+    for line, ok, _ in _campaign(scope, args.max_order, args.dedup, start, step):
         print(line)
         checked += 1
         if not ok:
@@ -324,26 +319,30 @@ def cmd_witness(args):
 
 def cmd_enumerate(args):
     start, step = args.shard or (0, 1)
-    structures = _stream(args.kind, args.order, args.dedup, start, step)
-    structures = islice(structures, args.limit)
+    items = islice(_tuples(args.kind, [args.order], args.dedup), start, None, step)
+    items = islice(items, args.limit)
+    # each item becomes (the parts of its id, its structure)
+    if args.kind == "le":  # an le structure is named by its source
+        sid = _id_rule("theorem2", args.dedup == "iso")
+        items = ((src, le.LeSemigroup(*s[:3], top=s[3])) for s, src in items)
+    else:
+        sid = _id_rule("theorem1", args.dedup == "iso")
+        items = ((p, ordered.OrderedSemigroup(*p)) for p in items)
     if args.out is not None:
-        scope = "theorem2" if args.kind == "le" else "theorem1"
-        rule = _id_rule(scope, args.dedup == "iso")
         outdir = Path(args.out)
         count = 0
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for k, s in enumerate(structures):
-                sid = rule(*_parts(scope, s))
+            for k, (parts, s) in enumerate(items):
                 # named by position in the unsharded stream: shards share a DIR
-                storage.save(s, outdir / f"{start + k * step:06d}-{sid}.json")
+                storage.save(s, outdir / f"{start + k * step:06d}-{sid(*parts)}.json")
                 count += 1
         except OSError as exc:
             print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         print(f"# wrote={count} dir={outdir}")
     else:
-        for s in structures:
+        for _, s in items:
             payload = storage.to_payload(s)
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return 0

@@ -12,12 +12,15 @@ import pytest
 
 import posemi
 from posemi import (
+    OrderedSemigroup,
+    canon,
     enumeration,
     le,
     le_structure_id,
     load,
     ordered,
     ordered_structure_id,
+    save,
 )
 from posemi.cli import _fmt_bool, _line, main
 from posemi.enumeration import EnumerationConfig
@@ -189,6 +192,95 @@ class TestVerifyFileGolden:
         code, out, err = run(capsys, ["verify", "theorem1", "--file", N2, *flags])
         assert (code, out) == (2, "")
         assert err == "error: --file takes no --max-order, --shard or --dedup iso\n"
+
+
+class TestVerifyFileFailure:
+    """A file whose conditions the scope's kernel reports unequal gets the
+    ok=false line, the witness lines of the conditions reported false,
+    failures=1 and exit status 1; the kernels are patched as in
+    TestCampaignFailure."""
+
+    def flip_c1(self, monkeypatch, module, name):
+        kernel = getattr(module, name)
+
+        def flags(*parts):
+            c1, c2, c3 = kernel(*parts)
+            return not c1, c2, c3
+
+        monkeypatch.setattr(module, name, flags)
+
+    def test_theorem1(self, capsys, monkeypatch):
+        self.flip_c1(monkeypatch, ordered, "theorem1_flags")
+        assert run(capsys, ["verify", "theorem1", "--file", N2]) == (
+            1,
+            "eae18c2f4aeb3688\ttrue\tfalse\tfalse\tfalse\n"
+            "# witness c2 X={0, a} M={0, a} Y={0, a} element=a\n"
+            "# witness c3 X={0, a} M={0, a} Y={0, a} element=a\n"
+            "# checked=1 failures=1\n",
+            "",
+        )
+
+    def test_theorem2(self, capsys, monkeypatch):
+        self.flip_c1(monkeypatch, le, "theorem2_flags")
+        assert run(capsys, ["verify", "theorem2", "--file", L3NULL]) == (
+            1,
+            "8b79eb78bdf880c1\ttrue\tfalse\tfalse\tfalse\n"
+            "# witness c2 x=e m=e y=e\n"
+            "# witness c3 x=e m=e y=e\n"
+            "# checked=1 failures=1\n",
+            "",
+        )
+
+    def test_remark(self, capsys, monkeypatch):
+        # flipping c1 leaves the remark's ok as it is, so the kernel's own
+        # witness is patched in
+        def remark(table, leq, top):
+            return True, le.ElementWitness(x=1, m=2, y=0)
+
+        monkeypatch.setattr(le, "remark_flags", remark)
+        assert run(capsys, ["verify", "remark", "--file", L3MEET]) == (
+            1,
+            "8c5ceba7cfa17f31\ttrue\tfalse\t-\tfalse\n"
+            "# witness remark x=a b=e y=0\n"
+            "# checked=1 failures=1\n",
+            "",
+        )
+
+
+@pytest.mark.parametrize("scope", ["theorem1", "theorem2"])
+def test_file_searches_no_witness_for_a_true_condition(capsys, monkeypatch, scope):
+    # every condition holds on these files, so no witness search may run
+    def refuse(*args):
+        raise AssertionError("a witness search ran on a true condition")
+
+    monkeypatch.setattr(ordered, "condition_holds", refuse)
+    monkeypatch.setattr(le, "le_condition_scan", refuse)
+    path = S2L if scope == "theorem1" else L3MEET
+    code, out, _ = run(capsys, ["verify", scope, "--file", path])
+    assert (code, out.count("\ttrue")) == (0, 4)
+
+
+def test_file_above_the_id_cap(capsys, tmp_path):
+    # a 7-element left-zero band (x*y = x) with the discrete order: verify
+    # --file needs its id and stops at the cap; the commands that take no id
+    # answer
+    n = 7
+    path = str(tmp_path / "lz7.json")
+    discrete = [[x == y for y in range(n)] for x in range(n)]
+    save(OrderedSemigroup([[x] * n for x in range(n)], discrete), path)
+    assert run(capsys, ["verify", "theorem1", "--file", path]) == (
+        1,
+        "",
+        "error: carrier size 7 exceeds the canonicalization cap 6\n",
+    )
+    for argv in (
+        ["classify", "--file", path, "--subset", "0"],
+        ["generate", "--file", path, "--subset", "0", "--kind", "left"],
+        ["witness", "--file", path, "--element", "0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 class TestVerifyCampaign:
@@ -365,6 +457,28 @@ def test_campaign_builds_no_structure(capsys, monkeypatch, scope, dedup):
     assert want[0] == 0 and want[1].endswith(" failures=0\n")
 
 
+@pytest.mark.parametrize("dedup, calls", [("none", 607), ("iso", 0)])
+def test_theorem2_canonicalizes_each_source_once(capsys, monkeypatch, dedup, calls):
+    # the raw order-<=4 le stream holds 11,581 structures on 607 distinct
+    # sources, each canonicalized once; the structures of an iso stream are
+    # their own canonical forms, so none is
+    sources = []
+    le_id = canon.le_structure_id
+
+    def counted(*source):
+        sources.append(source)
+        return le_id(*source)
+
+    monkeypatch.setattr(canon, "le_structure_id", counted)
+    argv = ["verify", "theorem2", "--max-order", "4", "--dedup", dedup]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.endswith(" failures=0\n")) == (0, True)
+    assert len(sources) == len(set(sources)) == calls
+    if dedup == "none":
+        cfgs = (EnumerationConfig(n) for n in range(1, 5))
+        assert set(sources) == {s for c in cfgs for _, s in enumeration.le_sources(c)}
+
+
 def test_line_is_the_id_and_five_fields():
     # every (flags, ok) a scope can produce: three truth values for
     # theorem1 and theorem2, (c1, remark, None) for remark, each with
@@ -384,10 +498,9 @@ def test_line_is_the_id_and_five_fields():
 @pytest.mark.parametrize("scope", ["theorem1", "remark", "theorem2"])
 def test_file_path_matches_raw_campaign(capsys, tmp_path, scope):
     # every raw structure of order <= 3, written by enumerate --out and read
-    # back by verify --file, gets the raw campaign's line: theorem1 files
-    # are answered by verify_theorem1 and the campaign by theorem1_flags,
-    # theorem2 files by verify_theorem2 and the campaign by theorem2_flags;
-    # remark takes the files with a greatest element
+    # back by verify --file, gets the raw campaign's line: the file's tuple
+    # is rebuilt from the loaded structure, and the file named by the id the
+    # line takes; remark takes the files with a greatest element
     kind = "le" if scope == "theorem2" else "ordered"
     code, out, _ = run(capsys, ["verify", scope, "--max-order", "3"])
     assert code == 0
