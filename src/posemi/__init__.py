@@ -24,7 +24,6 @@ from .le import (
     ElementWitness,
     LeSemigroup,
     PoeSemigroup,
-    check_remark,
     element_class,
     gen_element,
     greatest,
@@ -56,7 +55,6 @@ from .ordered import (
     validate,
     verify_theorem1,
 )
-from .report import VerificationReport
 from .storage import Loaded, StructureFileError, from_payload, load, save, to_payload
 
 __version__ = "0.1.0"

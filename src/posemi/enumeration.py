@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import canon
-from .le import LeSemigroup
+from .le import LeSemigroup, greatest
 from .ordered import OrderedSemigroup, row_masks
 
 DEDUP_MODES = ("none", "up_to_iso")
@@ -362,11 +362,7 @@ def all_lattices(n):
     for leq in all_posets(n):
         tables = _lattice_tables(leq)
         if tables is not None:
-            join, meet = tables
-            top = 0
-            for i in range(1, n):
-                top = join[top][i]
-            out.append((leq, join, meet, top))
+            out.append((leq, *tables, greatest(leq)))
     return tuple(out)
 
 

@@ -9,11 +9,12 @@ a v ae, a v ea, a v aea and a v (ae ^ ea).
 
 `theorem2_flags` answers intra-regularity and the element-triple
 conditions from those generated elements alone.  One triple scan on
-(table, leq, top) finds the witness of `le_condition_holds` and answers the
-remark (`remark_flags`), where a triple counts only when its greatest lower
-bound exists: the element whose down-set is the intersection of theirs, on
-lattices and off them.  Campaigns call `remark_flags`; `check_remark` and
-`verify remark --file` share it.
+(table, leq, top) checks every triple instead, where a triple counts only
+when its greatest lower bound exists: the element whose down-set is the
+intersection of theirs, on lattices and off them.  The scan gives the
+witnesses, answers the remark (`remark_flags`), and answers
+`verify_theorem2` without `theorem2_flags`, so the tests hold the kernel
+to it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ordered import OrderedSemigroup, _check_condition_kind, row_masks, validate
-from .report import VerificationReport
 
 ELEMENT_KINDS = ("right", "left", "bi", "quasi")
 
@@ -289,7 +289,7 @@ def le_condition_scan(L, kind):
 
 def theorem2_flags(table, join, meet, top):
     """(c1, c2, c3) of the lattice-ordered semigroup (table, join, meet,
-    top): the truth values `verify_theorem2` reports, without witnesses or a
+    top): the truth values of `verify_theorem2`, without witnesses or a
     LeSemigroup.  The order is read from the join (a <= x iff a v x = x).
 
     With r, m and l the generated right, kind- and left ideal elements
@@ -331,12 +331,14 @@ def le_condition_holds(L, kind):
 
 
 def verify_theorem2(L):
-    """Check that intra-regularity and both element-triple conditions agree
-    on one lattice-ordered semigroup."""
-    return VerificationReport.of(
+    """(c1, r2, r3) of one lattice-ordered semigroup by brute force: c1 is
+    intra-regularity, and r2 and r3 are the bi and quasi element-triple
+    conditions, each True or its first failing ElementWitness, from the full
+    triple scan (`le_condition_scan`) and never from `theorem2_flags`."""
+    return (
         is_intra_regular_poe(L),
-        le_condition_holds(L, "bi"),
-        le_condition_holds(L, "quasi"),
+        le_condition_scan(L, "bi"),
+        le_condition_scan(L, "quasi"),
     )
 
 
@@ -347,10 +349,3 @@ def remark_flags(table, leq, top):
     x ^ b ^ y <= y*b*x, else the first failing ElementWitness."""
     c1 = _intra_regular(table, leq, top)
     return c1, _triple_scan(table, leq, top, "bi") if c1 else True
-
-
-def check_remark(struct):
-    """The remark of `remark_flags` on a PoeSemigroup or LeSemigroup."""
-    if not isinstance(struct, PoeSemigroup):
-        raise TypeError("check_remark requires a PoeSemigroup")
-    return remark_flags(struct.table, struct.leq, struct.top)[1]

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .report import VerificationReport
-
 SUBSET_ENUM_CAP = 12
 
 IDEAL_KINDS = ("left", "right", "quasi", "bi")
@@ -455,7 +453,7 @@ def _down_table(leq):
 
 def theorem1_flags(table, leq):
     """(c1, c2, c3) of the ordered semigroup (table, leq): the truth values
-    `verify_theorem1` reports, without witnesses or an OrderedSemigroup.
+    of `verify_theorem1`, without witnesses or an OrderedSemigroup.
 
     The table decides every product and the order enters only through the
     closure table down[m] = (m], so the products come once per table from
@@ -506,10 +504,7 @@ def theorem1_flags(table, leq):
 
 
 def verify_theorem1(s):
-    """Check that intra-regularity and both ideal-triple conditions agree on
-    one structure; failing conditions carry witnesses in the report."""
-    return VerificationReport.of(
-        is_intra_regular(s),
-        condition_holds(s, "bi"),
-        condition_holds(s, "quasi"),
-    )
+    """(c1, r2, r3) of one ordered semigroup: c1 is intra-regularity, and r2
+    and r3 are the bi and quasi ideal-triple conditions, each True or its
+    first ConditionWitness (`condition_holds`)."""
+    return is_intra_regular(s), condition_holds(s, "bi"), condition_holds(s, "quasi")

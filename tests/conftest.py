@@ -31,6 +31,12 @@ def relabeled(mat, p, values=True):
     return tuple(tuple(p[at[i, j]] if values else at[i, j] for j in rng) for i in rng)
 
 
+def truths(answer):
+    """The truth values of a (c1, r2, r3) answer of `verify_theorem1` or
+    `verify_theorem2`, where r2 and r3 are each True or a witness."""
+    return tuple(r is True for r in answer)
+
+
 def condition_scan(s, kind):
     """Check X n M n Y <= (Y M X] for all right ideals X, kind-ideals M and
     left ideals Y, by scanning every triple of the ideal families.

@@ -9,7 +9,6 @@ from posemi import (
     LeSemigroup,
     OrderedSemigroup,
     PoeSemigroup,
-    check_remark,
     classify_subset,
     element_class,
     gen_element,
@@ -24,9 +23,10 @@ from posemi import (
     verify_theorem1,
     verify_theorem2,
 )
-from posemi.le import theorem2_flags
+from posemi import le
+from posemi.le import remark_flags, theorem2_flags
 
-from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3meet, make_l3null
+from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3meet, make_l3null, truths
 
 
 def make_one_le():
@@ -224,15 +224,18 @@ class TestLeCondition:
 
 class TestVerifyTheorem2:
     def test_fixture_reports(self, l3null, l3meet):
-        r = verify_theorem2(l3null)
-        assert (r.c1, r.c2, r.c3) == (False, False, False)
-        assert r.equivalence_ok
-        r = verify_theorem2(l3meet)
-        assert (r.c1, r.c2, r.c3) == (True, True, True)
-        assert r.witnesses == ()
+        w = ElementWitness(x=2, m=2, y=2)
+        assert verify_theorem2(l3null) == (False, w, w)
+        assert verify_theorem2(l3meet) == (True, True, True)
+
+    def test_independent_of_the_kernel(self, monkeypatch):
+        # the answers come from the triple scan, not from theorem2_flags
+        monkeypatch.setattr(le, "theorem2_flags", lambda *s: (True, True, True))
+        w = ElementWitness(x=2, m=2, y=2)
+        assert verify_theorem2(make_l3null()) == (False, w, w)
 
     def test_one_element(self):
-        assert verify_theorem2(make_one_le()).equivalence_ok
+        assert verify_theorem2(make_one_le()) == (True, True, True)
 
     def test_reversal_symmetry(self, le_universe_4):
         # Reversing the multiplication (same lattice) swaps right and left
@@ -241,14 +244,13 @@ class TestVerifyTheorem2:
         # verify_theorem2 or in the campaign kernel.
         flags = []
         for L in le_universe_4:
-            r = verify_theorem2(L)
+            r = truths(verify_theorem2(L))
             op = LeSemigroup(tuple(zip(*L.table)), L.join, L.meet, L.top)
-            r_op = verify_theorem2(op)
-            assert (r_op.c1, r_op.c2, r_op.c3) == (r.c1, r.c2, r.c3), L.table
+            assert truths(verify_theorem2(op)) == r, L.table
             assert theorem2_flags(op.table, L.join, L.meet, L.top) == (
                 theorem2_flags(L.table, L.join, L.meet, L.top)
             ), L.table
-            flags.append((r.c1, r.c2, r.c3))
+            flags.append(r)
         # both verdicts occur
         assert {(True, True, True), (False, False, False)} <= set(flags)
 
@@ -295,28 +297,34 @@ class TestGeneratedQuasiChain:
 
 
 class TestCheckRemark:
+    """The remark, `remark_flags(table, leq, top)[1]`, on lattices and off
+    them."""
+
     def test_le_views_are_consistent(self, l3null, l3meet, le_universe_3):
-        assert check_remark(l3meet) is True
-        assert check_remark(l3null) is True
+        assert remark_flags(l3meet.table, l3meet.leq, l3meet.top) == (True, True)
+        assert remark_flags(l3null.table, l3null.leq, l3null.top) == (False, True)
         for L in le_universe_3:
-            poe = PoeSemigroup(L.table, L.leq)
-            assert check_remark(L) == check_remark(poe)
-            if is_intra_regular_poe(L):
-                assert check_remark(poe) is True
+            # the poe view of a lattice finds the lattice's top
+            assert PoeSemigroup(L.table, L.leq).top == L.top
+            c1, remark = remark_flags(L.table, L.leq, L.top)
+            assert c1 == is_intra_regular_poe(L)
+            if c1:
+                assert remark is True
 
     def test_nonlattice_intra_regular(self):
         poe = make_poe_nonlattice_intra()
         assert is_intra_regular_poe(poe)
         assert ideal_elements(poe, "right") == [2]
-        assert check_remark(poe) is True
+        assert remark_flags(poe.table, poe.leq, poe.top)[1] is True
 
     def test_vacuous_when_not_intra_regular(self):
         poe = make_poe_no_meet()
         assert not is_intra_regular_poe(poe)
-        assert check_remark(poe) is True
+        assert remark_flags(poe.table, poe.leq, poe.top)[1] is True
 
     def test_one_element(self):
-        assert check_remark(PoeSemigroup([[0]], [[1]], top=0)) is True
+        poe = PoeSemigroup([[0]], [[1]], top=0)
+        assert remark_flags(poe.table, poe.leq, poe.top) == (True, True)
 
 
 class TestIdealElements:

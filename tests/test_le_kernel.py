@@ -6,8 +6,9 @@ by the automorphisms of the lattice and canonicalize what is left.  The
 oracles are the search run on every labeled lattice: plain for raw
 streams, and for iso streams with lex-leader pruning on the table and
 (join, meet) kept when no table automorphism makes it smaller.  Campaigns
-check each structure with `theorem2_flags`, which must give the (c1, c2,
-c3) of `verify_theorem2` and of the full triple scan.  On a le-semigroup
+check each structure with `theorem2_flags`, which must give the truth
+values of `verify_theorem2`: intra-regularity and the full triple scan,
+with no call to the kernel.  On a le-semigroup
 c1 = c2 = c3, so answers alone cannot tell a wrong generated element apart:
 the kernel is also held to the principal check built from `gen_element` on
 (associative table, labeled lattice) pairs, distributive or not.
@@ -21,7 +22,6 @@ from posemi import (
     LeSemigroup,
     gen_element,
     is_intra_regular_poe,
-    le_condition_scan,
     le_structure_id,
     verify_theorem2,
 )
@@ -35,6 +35,7 @@ from posemi.enumeration import (
 )
 from posemi.le import theorem2_flags
 
+from conftest import truths
 from second_methods import le_lex_leaders
 
 # every LATTICE_STRIDE-th of the 380 labeled order-5 lattices: 9 of them, in
@@ -117,14 +118,7 @@ def test_iso_sources_are_the_structures():
 
 def _flags_agree(structures):
     got = [theorem2_flags(*s) for s in structures]
-    want = []
-    for table, join, meet, top in structures:
-        L = LeSemigroup(table, join, meet, top)
-        r = verify_theorem2(L)
-        scans = (le_condition_scan(L, "bi") is True, le_condition_scan(L, "quasi") is True)
-        assert (r.c2, r.c3) == scans
-        want.append((is_intra_regular_poe(L), *scans))
-    assert got == want
+    assert got == [truths(verify_theorem2(LeSemigroup(*s))) for s in structures]
     assert {(True, True, True), (False, False, False)} == set(got)
 
 

@@ -31,6 +31,7 @@ from conftest import (
     make_one,
     make_s2l,
     make_z2,
+    truths,
 )
 
 FULL2 = 0b11
@@ -269,19 +270,15 @@ class TestConditionHolds:
 
 class TestVerifyTheorem1:
     def test_n2(self, n2):
-        r = verify_theorem1(n2)
-        assert (r.c1, r.c2, r.c3) == (False, False, False)
-        assert r.equivalence_ok
-        assert [cond for cond, _ in r.witnesses] == ["c2", "c3"]
+        c1, r2, r3 = verify_theorem1(n2)
+        assert c1 is False
+        assert isinstance(r2, ConditionWitness) and isinstance(r3, ConditionWitness)
 
     def test_s2l(self, s2l):
-        r = verify_theorem1(s2l)
-        assert (r.c1, r.c2, r.c3) == (True, True, True)
-        assert r.equivalence_ok and r.witnesses == ()
+        assert verify_theorem1(s2l) == (True, True, True)
 
     def test_one_element(self):
-        r = verify_theorem1(make_one())
-        assert r.c1 and r.c2 and r.c3 and r.equivalence_ok
+        assert verify_theorem1(make_one()) == (True, True, True)
 
     def test_id_is_relabeling_invariant(self, n2):
         relabeled = OrderedSemigroup([[1, 1], [1, 1]], [[1, 0], [1, 1]])
@@ -419,4 +416,4 @@ class TestMaskHelpers:
 def test_equivalence_over_order_2_raw():
     # every ordered semigroup on two labeled points, no dedup
     for s in enumerate_ordered_semigroups(EnumerationConfig(order=2)):
-        assert verify_theorem1(s).equivalence_ok
+        assert len(set(truths(verify_theorem1(s)))) == 1
