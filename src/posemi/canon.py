@@ -150,9 +150,10 @@ def _digest(payload):
     return _sha16(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-# the compact JSON text of a nested tuple, as `_digest` writes it
-_text = json.JSONEncoder(separators=(",", ":")).encode
-_leq_row = lru_cache(maxsize=None)(_text)  # rows of booleans: 2^n of length n
+# the compact JSON text of a nested tuple, as `_digest` writes it; the
+# records of `storage` are written with it too
+compact = json.JSONEncoder(separators=(",", ":")).encode
+_leq_row = lru_cache(maxsize=None)(compact)  # rows of booleans: 2^n of length n
 
 
 @lru_cache(maxsize=1)
@@ -160,7 +161,7 @@ def _table_tail(table):
     """The text after the order in an ordered payload, for one table (nested
     tuples, the cache key); an ordered stream yields all orders of a table
     in a row, as `_least_table` relies on too."""
-    return '],"table":' + _text(table) + "}"
+    return '],"table":' + compact(table) + "}"
 
 
 def ordered_digest(table, leq):
@@ -183,7 +184,7 @@ def ordered_structure_id(table, leq):
 def _le_head(join, meet):
     """The text before the table in an le payload, for one lattice; an iso
     le stream yields the structures on one labeled lattice in a row."""
-    join, meet = _text(join), _text(meet)
+    join, meet = compact(join), compact(meet)
     return f'{{"join":{join},"kind":"le_semigroup","meet":{meet},"table":'
 
 
@@ -191,7 +192,7 @@ def le_digest(table, join, meet):
     """`ordered_digest` for (table, join, meet), nested tuples:
     `le_structure_id` of a structure that is its own canonical form, hashed
     from the join and meet text cached per lattice."""
-    return _sha16(_le_head(join, meet) + _text(table) + "}")
+    return _sha16(_le_head(join, meet) + compact(table) + "}")
 
 
 def le_structure_id(table, join, meet):

@@ -8,15 +8,17 @@ kernel; only the file path then searches witnesses, for the conditions
 reported false.  `_id_rule` alone decides ids, also in `enumerate --out`
 file names: the bare digest on iso streams, whose structures are their own
 canonical forms, else the canonical id, of an le structure's isomorphic
-source.  `_tuples` feeds both commands.
+source.  `_tuples` feeds both commands.  `enumerate` prints each record
+straight from its tuple (`storage.ordered_record`, `storage.le_record`);
+only `enumerate --out` builds structures, to save them.
 
 What a run covers is decided here alone, and every flag is checked when
 the arguments are parsed.  `--order` and `--max-order` run from 1 to
 `canon.DEDUP_CAP`, the cap of the canonical ids.  `enumerate` and `verify`
 take their shard by one rule, `islice(items, start, None, step)`, from the
-tuple streams of `enumeration`, so only the structures kept are built;
-`enumerate --limit` cuts the shard.  islice takes no step or stop above
-`sys.maxsize`, and neither do `--shard` and `--limit`.
+tuple streams of `enumeration`, before anything is built; `enumerate
+--limit` cuts the shard.  islice takes no step or stop above `sys.maxsize`,
+and neither do `--shard` and `--limit`.
 
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
@@ -26,7 +28,6 @@ status 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -321,6 +322,15 @@ def cmd_enumerate(args):
     start, step = args.shard or (0, 1)
     items = islice(_tuples(args.kind, [args.order], args.dedup), start, None, step)
     items = islice(items, args.limit)
+    if args.out is None:  # each record is written from its tuple
+        if args.kind == "le":
+            records = (storage.le_record(*s) for s, _ in items)
+        else:
+            records = (storage.ordered_record(*pair) for pair in items)
+        write = sys.stdout.write
+        for record in records:
+            write(record + "\n")
+        return 0
     # each item becomes (the parts of its id, its structure)
     if args.kind == "le":  # an le structure is named by its source
         sid = _id_rule("theorem2", args.dedup == "iso")
@@ -328,23 +338,18 @@ def cmd_enumerate(args):
     else:
         sid = _id_rule("theorem1", args.dedup == "iso")
         items = ((p, ordered.OrderedSemigroup(*p)) for p in items)
-    if args.out is not None:
-        outdir = Path(args.out)
-        count = 0
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            for k, (parts, s) in enumerate(items):
-                # named by position in the unsharded stream: shards share a DIR
-                storage.save(s, outdir / f"{start + k * step:06d}-{sid(*parts)}.json")
-                count += 1
-        except OSError as exc:
-            print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-        print(f"# wrote={count} dir={outdir}")
-    else:
-        for _, s in items:
-            payload = storage.to_payload(s)
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    outdir = Path(args.out)
+    count = 0
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for k, (parts, s) in enumerate(items):
+            # named by position in the unsharded stream: shards share a DIR
+            storage.save(s, outdir / f"{start + k * step:06d}-{sid(*parts)}.json")
+            count += 1
+    except OSError as exc:
+        print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    print(f"# wrote={count} dir={outdir}")
     return 0
 
 

@@ -5,13 +5,20 @@ list of [i, j] pairs meaning i <= j; reflexive pairs may be omitted and the
 transitive closure is applied on load before re-validation.  Lattice-ordered
 semigroups carry explicit join and meet tables plus the top index instead of
 an order relation.  Loading refuses structures that violate their axioms.
+
+`ordered_record` and `le_record` write the one-line record of a structure
+straight from its tuples, as `enumerate` prints it: the sorted, compact JSON
+of its `to_payload`, put together from cached text the way `canon` puts
+its ids together, with no structure built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .canon import compact
 from .le import LeSemigroup, PoeSemigroup, greatest, validate_le
 from .ordered import OrderedSemigroup, validate
 
@@ -181,6 +188,49 @@ def to_payload(structure, names=None):
             raise ValueError("names must list one label per element")
         payload["names"] = list(names)
     return payload
+
+
+@lru_cache(maxsize=4096)  # as many orders as ordered._down_table keeps
+def _strict_pairs(leq):
+    """The text of the sorted strict pairs [i, j] of one order (nested
+    tuples of booleans, the cache key); streams meet the same orders on
+    table after table."""
+    return compact(
+        [(i, j) for i, row in enumerate(leq) for j, x in enumerate(row) if x and i != j]
+    )
+
+
+@lru_cache(maxsize=1)
+def _ordered_tail(table):
+    """The text after the order in an ordered record, for one table (nested
+    tuples, the cache key); an ordered stream yields all orders of a table
+    in a row."""
+    return f',"order":{len(table)},"table":{compact(table)}}}'
+
+
+def ordered_record(table, leq):
+    """The record of the ordered semigroup (table, leq), nested tuples: the
+    text `json.dumps(to_payload(s), sort_keys=True, separators=(",", ":"))`
+    gives for s = OrderedSemigroup(table, leq), which is neither built nor
+    checked."""
+    head = '{"kind":"ordered_semigroup","leq":'
+    return head + _strict_pairs(leq) + _ordered_tail(table)
+
+
+@lru_cache(maxsize=1)
+def _le_text(join, meet, top):
+    """The text before and after the table in an le record, for one lattice;
+    an le stream yields the structures on one labeled lattice in a row."""
+    join, meet, n = compact(join), compact(meet), len(join)
+    head = f'{{"join":{join},"kind":"le_semigroup","meet":{meet},"order":{n},"table":'
+    return head, f',"top":{top}}}'
+
+
+def le_record(table, join, meet, top):
+    """`ordered_record` for LeSemigroup(table, join, meet, top=top), from the
+    join, meet and top text cached per lattice."""
+    head, tail = _le_text(join, meet, top)
+    return head + compact(table) + tail
 
 
 def load(path):

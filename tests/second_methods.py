@@ -5,8 +5,9 @@ order (and stride) that the tests and CI both call, for instance
 
 Each check prints what it finds and asserts it against tests/golden:
 counts.json, whose "samples" pin each strided call by the call, or
-streams.json.  Pytest does not collect this module: its name does not match
-test_*.py.
+streams.json, which pins `verify` campaigns by their summary line and
+`enumerate` streams by their line count, each with its SHA-256.  Pytest
+does not collect this module: its name does not match test_*.py.
 """
 
 import contextlib
@@ -198,14 +199,17 @@ def kernel(n, table_stride, structure_stride):
 
 
 class _Sink:
-    """stdout that keeps the SHA-256 of what it is sent and its tail."""
+    """stdout that keeps the SHA-256 of what it is sent, its line count and
+    its tail."""
 
     def __init__(self):
         self.sha256 = hashlib.sha256()
+        self.lines = 0
         self.tail = ""
 
     def write(self, text):
         self.sha256.update(text.encode())
+        self.lines += text.count("\n")
         self.tail = (self.tail + text)[-256:]
 
     def flush(self):
@@ -213,20 +217,28 @@ class _Sink:
 
 
 def streams(orders):
-    """Every campaign streams.json pins with its --max-order in orders, run
-    in process: each must exit 0 and end in its pinned summary line, and its
-    whole stdout must hash to its pinned SHA-256."""
+    """Every stream streams.json pins with its --max-order (a campaign) or
+    --order (an enumeration) in orders, run in process: each must exit 0 and
+    hash to its pinned SHA-256, a campaign must end in its pinned summary
+    line, and an enumeration, which prints no summary, must have its pinned
+    number of lines."""
     ran = 0
     for command, pin in pins("streams").items():
         argv = command.split()
-        if int(argv[argv.index("--max-order") + 1]) not in orders:
+        flag = "--order" if argv[0] == "enumerate" else "--max-order"
+        if int(argv[argv.index(flag) + 1]) not in orders:
             continue
         sink = _Sink()
         with contextlib.redirect_stdout(sink):
             status = cli.main(argv)
-        last = sink.tail.rstrip("\n").rsplit("\n", 1)[-1]
-        print(f"{command}: {last}", flush=True)
-        got = (status, last, sink.sha256.hexdigest())
-        assert got == (0, pin["summary"], pin["sha256"]), command
+        found = {
+            "summary": sink.tail.rstrip("\n").rsplit("\n", 1)[-1],
+            "lines": sink.lines,
+            "sha256": sink.sha256.hexdigest(),
+        }
+        found = {key: found[key] for key in pin}
+        shown = found.get("summary", f"lines={sink.lines}")
+        print(f"{command}: {shown}", flush=True)
+        assert (status, found) == (0, pin), command
         ran += 1
-    assert ran, f"no campaign pinned with --max-order in {orders}"
+    assert ran, f"no stream pinned with its order in {orders}"

@@ -1,5 +1,5 @@
 """tools/bench_order5.py: the per-layer split of a campaign run in process
-hashes to the campaign's pin, accounts for all of its wall time and leaves
+matches the campaign's pin, accounts for all of its wall time and leaves
 the wrapped functions as it found them, and a rerun of some scopes writes
 every other entry back as it was."""
 
@@ -42,15 +42,16 @@ def wrapped_attributes(tool):
         "verify theorem1 --max-order 4 --dedup iso",
         "verify theorem2 --max-order 4 --dedup none",
         "verify remark --max-order 4 --dedup iso",
+        "enumerate --kind ordered --order 4 --dedup iso",
     ],
-    ids=["theorem1", "theorem2", "remark"],
+    ids=["theorem1", "theorem2", "remark", "enumerate"],
 )
 def test_split_of_an_order_four_campaign(tool, command):
     pin = pins("streams")[command]
     originals = wrapped_attributes(tool)
     argv = command.split()
-    wall, spent = tool.split(argv, pin["summary"], pin["sha256"])
-    assert set(spent) == {*tool.LAYERS[argv[1]].values(), "other"}
+    wall, spent = tool.split(argv, pin)
+    assert set(spent) == {*tool.LAYERS[tool.scope(argv)].values(), "other"}
     assert all(seconds >= 0 for seconds in spent.values()), spent
     assert sum(spent.values()) == pytest.approx(wall)
     after = wrapped_attributes(tool)
@@ -61,14 +62,22 @@ def test_split_fails_on_a_wrong_pin(tool, capsys):
     argv = ["verify", "theorem1", "--max-order", "2"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
-    summary, sha256 = out.splitlines()[-1], hashlib.sha256(out.encode()).hexdigest()
+    sha256 = hashlib.sha256(out.encode()).hexdigest()
+    pin = {"summary": out.splitlines()[-1], "sha256": sha256}
+    lines = {"lines": out.count("\n"), "sha256": sha256}
     originals = wrapped_attributes(tool)
-    for wrong in ((summary, "0" * 64), ("# checked=20 failures=0", sha256)):
+    wrongs = [
+        {**pin, "sha256": "0" * 64},
+        {**pin, "summary": "# checked=20 failures=0"},
+        {**lines, "lines": lines["lines"] - 1},
+    ]
+    for wrong in wrongs:
         with pytest.raises(SystemExit, match="stream changed"):
-            tool.split(argv, *wrong)
+            tool.split(argv, wrong)
         after = wrapped_attributes(tool)
         assert all(after[name] is fn for name, fn in originals.items())
-    tool.split(argv, summary, sha256)
+    tool.split(argv, pin)
+    tool.split(argv, lines)
 
 
 def test_rerun_of_named_scopes_keeps_the_other_entries(tool, tmp_path, monkeypatch):

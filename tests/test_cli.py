@@ -21,6 +21,7 @@ from posemi import (
     ordered,
     ordered_structure_id,
     save,
+    storage,
 )
 from posemi.cli import _fmt_bool, _line, main
 from posemi.enumeration import EnumerationConfig
@@ -455,6 +456,24 @@ def test_campaign_builds_no_structure(capsys, monkeypatch, scope, dedup):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert run(capsys, argv) == want
     assert want[0] == 0 and want[1].endswith(" failures=0\n")
+
+
+@pytest.mark.parametrize("dedup", ["none", "iso"])
+@pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
+def test_enumerate_stdout_builds_no_structure(capsys, monkeypatch, kind, dedup):
+    """enumerate writes each stdout record from its tuple: with the structure
+    constructors and `to_payload` made to raise, it prints the same stream."""
+    argv = ["enumerate", "--kind", kind, "--order", "3", "--dedup", dedup]
+    want = run(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"enumerate --kind {kind} built a structure")
+
+    for cls in (ordered.OrderedSemigroup, le.PoeSemigroup, le.LeSemigroup):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(storage, "to_payload", refuse)
+    assert run(capsys, argv) == want
+    assert want[0] == 0 and want[1].count("\n") > 20
 
 
 @pytest.mark.parametrize("dedup, calls", [("none", 607), ("iso", 0)])

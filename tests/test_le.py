@@ -26,7 +26,7 @@ from posemi import (
 from posemi import le
 from posemi.le import remark_flags, theorem2_flags
 
-from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3meet, make_l3null, truths
+from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3null, truths
 
 
 def make_one_le():

@@ -24,15 +24,7 @@ from posemi import (
 from posemi import ordered
 from posemi.enumeration import EnumerationConfig, enumerate_ordered_semigroups
 
-from conftest import (
-    _ordered_universe,
-    condition_scan,
-    make_n2,
-    make_one,
-    make_s2l,
-    make_z2,
-    truths,
-)
+from conftest import _ordered_universe, condition_scan, make_one, make_z2, truths
 
 FULL2 = 0b11
 

@@ -1,5 +1,5 @@
-"""Structure files: round trips, order normalization, and rejection of
-malformed or axiom-violating input."""
+"""Structure files: round trips, order normalization, rejection of
+malformed or axiom-violating input, and the records written from tuples."""
 
 import json
 
@@ -7,13 +7,17 @@ import pytest
 
 from posemi import (
     LeSemigroup,
+    OrderedSemigroup,
     PoeSemigroup,
     StructureFileError,
     from_payload,
     load,
     save,
+    storage,
     to_payload,
 )
+from posemi.cli import _tuples
+from posemi.storage import le_record, ordered_record
 
 from conftest import FIXTURES, make_n2, make_s2l
 
@@ -213,6 +217,60 @@ class TestPayloadHelpers:
     def test_unserializable_type(self):
         with pytest.raises(TypeError):
             to_payload(object())
+
+
+def _dumped(structure):
+    """The records' oracle: `to_payload` of the structure, sorted and compact."""
+    return json.dumps(to_payload(structure), sort_keys=True, separators=(",", ":"))
+
+
+def _record_and_structure(kind, item):
+    """The record of one `cli._tuples` item, and the structure it builds."""
+    if kind == "le":
+        (table, join, meet, top), _ = item
+        structure = LeSemigroup(table, join, meet, top=top)
+        return le_record(table, join, meet, top), structure
+    return ordered_record(*item), OrderedSemigroup(*item)
+
+
+class TestRecordsFromTuples:
+    """`ordered_record` and `le_record` give the text `json.dumps` writes for
+    `to_payload` of the structure their tuples build, without building it;
+    that text is their oracle, and it loads back to the structure."""
+
+    @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
+    @pytest.mark.parametrize("dedup", ["none", "iso"])
+    def test_orders_one_to_four(self, kind, dedup):
+        items = list(_tuples(kind, range(1, 5), dedup))
+        counts = {  # (none, iso)
+            "semigroup": (3614, 218),
+            "ordered": (108680, 4938),
+            "le": (11581, 530),
+        }
+        assert len(items) == counts[kind][dedup == "iso"]
+        for item in items:
+            record, s = _record_and_structure(kind, item)
+            assert record == _dumped(s)
+            assert from_payload(json.loads(record)).structure == s
+
+    @pytest.mark.parametrize(
+        "kind,caches",
+        [("ordered", ["_strict_pairs", "_ordered_tail"]), ("le", ["_le_text"])],
+    )
+    def test_alternating_tables_and_orders(self, kind, caches):
+        # the raw order-3 stream in order, then its first and last items in
+        # turn, so the tables, orders and lattices alternate: each cache
+        # must miss as well as hit, and every record match its oracle
+        items = list(_tuples(kind, [3], "none"))
+        turns = [x for pair in zip(items, reversed(items)) for x in pair]
+        for name in caches:
+            getattr(storage, name).cache_clear()
+        for item in items + turns:
+            record, s = _record_and_structure(kind, item)
+            assert record == _dumped(s)
+        for name in caches:
+            info = getattr(storage, name).cache_info()
+            assert info.hits and info.misses, (name, info)
 
 
 class TestLoadedHelpers:

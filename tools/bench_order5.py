@@ -2,22 +2,25 @@
 
     python3 tools/bench_order5.py [SCOPE ...]
 
-The file holds one entry per campaign, each with "before" and "after".
-The campaigns of each SCOPE named (theorem1, theorem2, remark; all of them
-when none is named) are rerun, and every other entry is written back as it
-was read, so a rerun moves only what it measured.  "before" is read from
-BENCH_order5.json and written back unchanged.  "after" is measured on this
-checkout.  Its end-to-end time is the median of three runs of the
-campaign, each in a child process; the three runs are recorded too, since
-one run moves with host load.  Its per-layer split
-comes from one more run, of `cli.main` in this process, with the functions
-of `LAYERS` wrapped from outside by setting module attributes (restored
-afterwards).  A layer is the self time of its functions' calls, or of each
-step of the streams they return: time in wrapped calls nested inside a call
-is its inner layer's.  `other`, the run's wall time less the layers, is the
-rest of the command: argument parsing, the campaign loop, the lines and
-their printing.  Every run, child or in process, must end in the summary
-line and hash to the SHA-256 that tests/golden/streams.json pins for it.
+The file holds one entry per campaign, each with "before" and "after"; a
+campaign is a `verify` run or, for the scope enumerate, `enumerate --kind
+ordered --order 5 --dedup iso`.  The campaigns of each SCOPE named
+(theorem1, theorem2, remark, enumerate; all of them when none is named) are
+rerun, and every other entry is written back as it was read, so a rerun
+moves only what it measured.  "before" is read from BENCH_order5.json and
+written back unchanged.  "after" is measured on this checkout.  Its
+end-to-end time is the median of three runs of the campaign, each in a
+child process; the three runs are recorded too, since one run moves with
+host load.  Its per-layer split comes from one more run, of `cli.main` in
+this process, with the functions of `LAYERS` wrapped from outside by
+setting module attributes (restored afterwards).  A layer is the self time
+of its functions' calls, or of each step of the streams they return: time
+in wrapped calls nested inside a call is its inner layer's.  `other`, the
+run's wall time less the layers, is the rest of the command: argument
+parsing, the campaign loop, the lines and their printing.  Every run, child
+or in process, must hash to the SHA-256 that tests/golden/streams.json pins
+for it and end in its pinned summary line or, for enumerate, which prints
+none, have its pinned line count.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ CAMPAIGNS = [
     "verify theorem2 --max-order 4 --dedup none",
     "verify theorem2 --max-order 5 --dedup none",
     "verify remark --max-order 5 --dedup iso",
+    "enumerate --kind ordered --order 5 --dedup iso",
 ]
 
 # scope -> {"module.function": layer}
@@ -65,17 +69,34 @@ LAYERS = {
         "canon.le_structure_id": "ids",
         "le.theorem2_flags": "checks",
     },
+    "enumerate": {
+        "enumeration._semigroup_tables": "enumeration",
+        "enumeration._compatible_orders": "walk",
+        "storage.ordered_record": "records",
+    },
 }
 
 
-def check(status, last, digest, summary, sha256):
-    if status or last != summary or digest != sha256:
-        raise SystemExit(
-            f"error: exit status {status}, stream changed: {last!r}, sha256 {digest}"
-        )
+def scope(argv):
+    """The LAYERS key of a campaign: its verify scope, or enumerate."""
+    return argv[0] if argv[0] == "enumerate" else argv[1]
 
 
-def end_to_end(argv, summary, sha256):
+def check(status, sink, pin):
+    """Exit unless the run exited 0 and the stream sink took matches pin on
+    the keys pin holds: "sha256", and "summary" (the last line) for verify or
+    "lines" (their count) for enumerate, which prints no summary."""
+    found = {
+        "summary": sink.last,
+        "lines": sink.lines,
+        "sha256": sink.sha256.hexdigest(),
+    }
+    found = {key: found[key] for key in pin}
+    if status or found != pin:
+        raise SystemExit(f"error: exit status {status}, stream changed: {found}")
+
+
+def end_to_end(argv, pin):
     """Wall times of RUNS runs of the campaign, each in a child process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     walls = []
@@ -85,21 +106,24 @@ def end_to_end(argv, summary, sha256):
             [sys.executable, "-m", "posemi.cli", *argv], env=env, capture_output=True
         )
         walls.append(time.perf_counter() - start)
-        last = proc.stdout.decode().rstrip("\n").rsplit("\n", 1)[-1]
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        check(proc.returncode, last, digest, summary, sha256)
+        sink = _Sink()
+        sink.write(proc.stdout.decode())
+        check(proc.returncode, sink, pin)
     return walls
 
 
 class _Sink:
-    """stdout that keeps the SHA-256 of what it is sent and its last line."""
+    """stdout that keeps the SHA-256 of what it is sent, its line count and
+    its last line."""
 
     def __init__(self):
         self.sha256 = hashlib.sha256()
+        self.lines = 0
         self.last = ""
 
     def write(self, text):
         self.sha256.update(text.encode())
+        self.lines += text.count("\n")
         if text.strip("\n"):  # print sends a line and its newline apart
             self.last = text.rstrip("\n").rsplit("\n", 1)[-1]
 
@@ -107,7 +131,7 @@ class _Sink:
         pass
 
 
-def split(argv, summary, sha256):
+def split(argv, pin):
     """(wall seconds, seconds per layer) of one run of `cli.main(argv)` in
     this process, the layers those of `LAYERS` for the scope and `other`."""
     from posemi import cli, enumeration
@@ -136,7 +160,7 @@ def split(argv, summary, sha256):
     patched = []
     sink = _Sink()
     try:
-        for name, layer in LAYERS[argv[1]].items():
+        for name, layer in LAYERS[scope(argv)].items():
             path, attr = name.split(".")
             module = importlib.import_module(f"posemi.{path}")
             fn = getattr(module, attr)
@@ -150,7 +174,7 @@ def split(argv, summary, sha256):
     finally:
         for module, attr, fn in patched:
             setattr(module, attr, fn)
-    check(status, sink.last, sink.sha256.hexdigest(), summary, sha256)
+    check(status, sink, pin)
     spent["other"] = wall - sum(spent.values())
     return wall, spent
 
@@ -168,20 +192,20 @@ def main(scopes=None):
     pins = json.loads(STREAMS.read_text())
     campaigns = []
     for campaign in CAMPAIGNS:
-        argv = campaign.split()
-        summary, sha256 = pins[campaign]["summary"], pins[campaign]["sha256"]
+        argv, pin = campaign.split(), pins[campaign]
         command = "posemi " + campaign
-        if scopes and argv[1] not in scopes:
+        if scopes and scope(argv) not in scopes:
             campaigns.append(old[command])
             continue
-        walls = end_to_end(argv, summary, sha256)
-        wall, spent = split(argv, summary, sha256)
+        walls = end_to_end(argv, pin)
+        wall, spent = split(argv, pin)
+        structures = pin.get("lines") or int(pin["summary"].split("=")[1].split()[0])
         after = {
             "host": host,
             "end_to_end_s": round(statistics.median(walls), 2),
             "end_to_end_runs_s": [round(w, 2) for w in walls],
-            "structures": int(summary.split("=")[1].split()[0]),
-            "stream_sha256": sha256,
+            "structures": structures,
+            "stream_sha256": pin["sha256"],
             "in_process_s": round(wall, 3),
             "layers_s": {k: round(v, 3) for k, v in spent.items()},
         }
