@@ -4,6 +4,10 @@ Associative tables are produced by one backtracker over the cells in
 row-major order.  Its pruning is complete: every associativity triple is
 checked the moment its last cell is set, so a partial table survives only
 while all of its fully known triples hold and every leaf is associative.
+A triple whose last cell is an outer product, (ab)c or a(bc), fixes that
+cell's value from its other cells, so each node first reads the values its
+cell is fixed to and tries only that one (forced cells); the triples in
+which the cell is an inner product are checked per value tried.
 Join-distributive multiplications come from the same backtracker with a
 per-cell distributivity hook, run once per lattice class; a lattice's class
 is one dict lookup on its canonical join.
@@ -68,7 +72,17 @@ def _fill(n, hook=None, perms=()):
 
     Each associativity triple (a, b, c) is checked as soon as the last of its
     cells is set, whichever of them that is, so no dead subtree outlives the
-    cell that kills it and no leaf check is needed.
+    cell that kills it and no leaf check is needed.  Its cells are two inner
+    ones, (a, b) and (b, c), and two outer ones, (ab, c) and (a, bc).  When
+    the last, (i, j), is an inner cell of the triple, a loop over c,
+    (ij)c = i(jc), or over a, (ai)j = a(ij), checks it for each value
+    tried, with (i, j) set.  Otherwise its inner cells are cells set before
+    (i, j), kept in the preimages of i and j, and if (i, j) is one outer cell
+    alone, the triple's other cells fix its value, to a(bj) with ab = i or
+    to (ib)c with bc = j.  Each node reads these values once, before any
+    value is tried (forced cells): two different ones kill the node, and one
+    is the only value tried.  If (i, j) is both outer cells, both sides of
+    the triple are cell (i, j) and it holds.
 
     perms, (perm, src) relabelings from canon.relabelings, makes the search
     keep only the tables that no perm relabels to a row-major smaller table
@@ -93,39 +107,6 @@ def _fill(n, hook=None, perms=()):
     watch = [[] for _ in range(size + 1)] if perms else None
     for perm, src in perms:
         watch[src[0]].append((0, perm, src))
-
-    def consistent(i, j, v):
-        row_i = table[i]
-        row_j = table[j]
-        row_v = table[v]
-        for c in rng:  # (ij)c = i(jc)
-            lhs = row_v[c]
-            q = row_j[c]
-            if lhs >= 0 and q >= 0:
-                rhs = row_i[q]
-                if rhs >= 0 and lhs != rhs:
-                    return False
-        for a in rng:  # (ai)j = a(ij)
-            row_a = table[a]
-            p = row_a[i]
-            if p >= 0:
-                lhs = table[p][j]
-                rhs = row_a[v]
-                if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                    return False
-        for a, b in preimage[i]:  # (ab)j = a(bj) with ab = i
-            q = table[b][j]
-            if q >= 0:
-                rhs = table[a][q]
-                if rhs >= 0 and rhs != v:
-                    return False
-        for b, c in preimage[j]:  # i(bc) = (ib)c with bc = j
-            p = row_i[b]
-            if p >= 0:
-                lhs = table[p][c]
-                if lhs >= 0 and lhs != v:
-                    return False
-        return True
 
     def resume(k):
         """Move the perms of watch[k] on once cell k is set; the lists they
@@ -163,19 +144,54 @@ def _fill(n, hook=None, perms=()):
             yield tuple(tuple(row) for row in table), auts
             return
         i, j = divmod(k, n)
-        row = table[i]
-        for v in rng:
-            row[j] = v
+        row_i = table[i]
+        row_j = table[j]
+        forced = -1
+        for a, b in preimage[i]:  # (ab)j = a(bj) with ab = i
+            q = table[b][j]
+            if q >= 0:
+                v = table[a][q]
+                if v >= 0 and v != forced:
+                    if forced >= 0:
+                        return
+                    forced = v
+        for b, c in preimage[j]:  # i(bc) = (ib)c with bc = j
+            p = row_i[b]
+            if p >= 0:
+                v = table[p][c]
+                if v >= 0 and v != forced:
+                    if forced >= 0:
+                        return
+                    forced = v
+        for v in rng if forced < 0 else (forced,):
+            row_i[j] = v
             cells[k] = v
-            if consistent(i, j, v) and (hook is None or hook(table, i, j)):
-                moved = resume(k) if watch else ()
-                if moved is not None:
-                    preimage[v].append((i, j))
-                    yield from fill(k + 1)
-                    preimage[v].pop()
-                    for out in moved:
-                        out.pop()
-        row[j] = -1
+            row_v = table[v]
+            for c in rng:  # (ij)c = i(jc)
+                lhs = row_v[c]
+                q = row_j[c]
+                if lhs >= 0 and q >= 0:
+                    rhs = row_i[q]
+                    if rhs >= 0 and lhs != rhs:
+                        break
+            else:
+                for row_a in table:  # (ai)j = a(ij)
+                    p = row_a[i]
+                    if p >= 0:
+                        lhs = table[p][j]
+                        rhs = row_a[v]
+                        if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                            break
+                else:
+                    if hook is None or hook(table, i, j):
+                        moved = resume(k) if watch else ()
+                        if moved is not None:
+                            preimage[v].append((i, j))
+                            yield from fill(k + 1)
+                            preimage[v].pop()
+                            for out in moved:
+                                out.pop()
+        row_i[j] = -1
         cells[k] = -1
 
     return fill(0)

@@ -1,7 +1,9 @@
 """Enumeration: backtracking generators against generate-then-filter brute
-force, compatible orders against the two-sided compatibility filter,
-canonical-form deduplication, determinism, and the pinned golden counts.
-Sharding and limits are the command line's; tests/test_cli.py covers them."""
+force, the table backtracker against a reference that scans every triple
+after every cell, compatible orders against the two-sided compatibility
+filter, canonical-form deduplication, determinism, and the pinned golden
+counts.  Sharding and limits are the command line's; tests/test_cli.py
+covers them."""
 
 import functools
 import itertools
@@ -26,6 +28,7 @@ from posemi.enumeration import (
     _compatible_orders,
     _fill,
     _include,
+    _join_distributive,
     _walk_lookups,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
@@ -53,6 +56,38 @@ def brute_force_semigroup_tables(n):
         if is_associative(t, n):
             out.append(t)
     return out
+
+
+def reference_fill(n, hook=None):
+    """The backtracker's reference: the cells filled in row-major order,
+    every value tried, and after each cell every associativity triple whose
+    cells are all set scanned before hook(table, i, j) is called; no forced
+    cells and no lex-leader pruning.  Yields the tables."""
+    rng = range(n)
+    table = [[-1] * n for _ in rng]
+
+    def associative_so_far():
+        return all(
+            table[ab][c] == table[a][bc]
+            for a in rng
+            for b in rng
+            if (ab := table[a][b]) >= 0
+            for c in rng
+            if (bc := table[b][c]) >= 0 and table[ab][c] >= 0 and table[a][bc] >= 0
+        )
+
+    def fill(k):
+        if k == n * n:
+            yield tuple(map(tuple, table))
+            return
+        i, j = divmod(k, n)
+        for v in rng:
+            table[i][j] = v
+            if associative_so_far() and (hook is None or hook(table, i, j)):
+                yield from fill(k + 1)
+        table[i][j] = -1
+
+    return fill(0)
 
 
 def join_distributive(t, join, n):
@@ -157,6 +192,35 @@ class TestSemigroupEnumeration:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             list(enumerate_semigroups(EnumerationConfig(order=7)))
+
+
+class TestFillAgainstReference:
+    """_fill, which reads forced cells and checks the rest per value, against
+    reference_fill, which scans every triple after every cell."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_raw(self, n):
+        assert [t for t, _ in _fill(n)] == list(reference_fill(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_join_distributive_on_every_labeled_lattice(self, n):
+        for _, join, _, _ in all_lattices(n):
+            hook = _join_distributive(join, n)
+            assert [t for t, _ in _fill(n, hook)] == list(reference_fill(n, hook))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_hook_refusing_random_cell_values(self, data):
+        # a forced value the hook refuses must kill the node, and a refused
+        # value must not stop the search trying the others
+        n = data.draw(st.integers(1, 4))
+        pair = st.tuples(st.integers(0, n * n - 1), st.integers(0, n - 1))
+        refused = frozenset(data.draw(st.lists(pair, max_size=3 * n)))
+
+        def hook(table, i, j):
+            return (i * n + j, table[i][j]) not in refused
+
+        assert [t for t, _ in _fill(n, hook)] == list(reference_fill(n, hook))
 
 
 class TestPosets:
@@ -443,7 +507,7 @@ class TestSymmetryBreaking:
         got = enumerate_le_semigroups(EnumerationConfig(order=n, dedup="up_to_iso"))
         assert [(L.table, L.join, L.meet) for L in got] == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_automorphisms_are_the_stabilizer(self, n):
         perms = relabelings(n)[1:]
         for t, auts in _fill(n, perms=perms):
