@@ -25,7 +25,8 @@ minimize the order (or join and meet) over those relabelings alone.
 An id hashes the sorted, compact JSON of a canonical form.  `_digest`
 encodes the whole payload and is the tests' oracle; campaigns hash the same
 bytes put together from cached text instead (`ordered_digest`,
-`le_digest`).
+`le_digest`), as `storage` writes its records: `part_text` is the one cache
+of table, join and meet text.
 """
 
 from __future__ import annotations
@@ -154,14 +155,12 @@ def _digest(payload):
 # records of `storage` are written with it too
 compact = json.JSONEncoder(separators=(",", ":")).encode
 _leq_row = lru_cache(maxsize=None)(compact)  # rows of booleans: 2^n of length n
-
-
-@lru_cache(maxsize=1)
-def _table_tail(table):
-    """The text after the order in an ordered payload, for one table (nested
-    tuples, the cache key); an ordered stream yields all orders of a table
-    in a row, as `_least_table` relies on too."""
-    return '],"table":' + compact(table) + "}"
+# The text of a table, join or meet (nested tuples, the cache key), for ids
+# and records alike.  An ordered stream yields one table's orders in a row
+# and an le stream one lattice's structures, so two entries hold an ordered
+# stream's table or an le stream's join and meet; le tables all differ and
+# take `compact` uncached.
+part_text = lru_cache(maxsize=2)(compact)
 
 
 def ordered_digest(table, leq):
@@ -169,10 +168,12 @@ def ordered_digest(table, leq):
     structure that is its own canonical form, as every structure of an
     up_to_iso stream is.  table and leq are nested tuples, leq of booleans.
     It hashes the bytes `_digest` would for {"kind": "ordered_semigroup",
-    "table": table, "leq": leq}: a constant head, one cached text per order
-    row and the table's cached tail."""
+    "table": table, "leq": leq}, from one cached text per order row and
+    the table's cached text."""
     rows = ",".join(map(_leq_row, leq))
-    return _sha16('{"kind":"ordered_semigroup","leq":[' + rows + _table_tail(table))
+    return _sha16(
+        f'{{"kind":"ordered_semigroup","leq":[{rows}],"table":{part_text(table)}}}'
+    )
 
 
 def ordered_structure_id(table, leq):
@@ -180,19 +181,13 @@ def ordered_structure_id(table, leq):
     return ordered_digest(*canonical_ordered(table, leq))
 
 
-@lru_cache(maxsize=1)
-def _le_head(join, meet):
-    """The text before the table in an le payload, for one lattice; an iso
-    le stream yields the structures on one labeled lattice in a row."""
-    join, meet = compact(join), compact(meet)
-    return f'{{"join":{join},"kind":"le_semigroup","meet":{meet},"table":'
-
-
 def le_digest(table, join, meet):
     """`ordered_digest` for (table, join, meet), nested tuples:
-    `le_structure_id` of a structure that is its own canonical form, hashed
-    from the join and meet text cached per lattice."""
-    return _sha16(_le_head(join, meet) + compact(table) + "}")
+    `le_structure_id` of a structure that is its own canonical form."""
+    return _sha16(
+        f'{{"join":{part_text(join)},"kind":"le_semigroup",'
+        f'"meet":{part_text(meet)},"table":{compact(table)}}}'
+    )
 
 
 def le_structure_id(table, join, meet):

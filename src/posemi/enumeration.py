@@ -336,11 +336,16 @@ def _compatible_orders(table, auts=()):
             k += 1
 
 
-@lru_cache(maxsize=None)
-def all_posets(n):
+def _posets(n):
     """Every partial order on n labeled points, ascending by encoding: the
     compatible orders of the left-zero band xy = x, which all are."""
-    return tuple(_compatible_orders(tuple((x,) * n for x in range(n))))
+    return _compatible_orders(tuple((x,) * n for x in range(n)))
+
+
+@lru_cache(maxsize=None)
+def all_posets(n):
+    """`_posets(n)` as a tuple, held for the process; no campaign reads it."""
+    return tuple(_posets(n))
 
 
 def enumerate_compatible_orders(table):
@@ -373,9 +378,10 @@ def enumerate_ordered_semigroups(cfg):
 @lru_cache(maxsize=None)
 def all_lattices(n):
     """Labeled lattices on n points as (leq, join, meet, top), ascending by
-    the order encoding."""
+    the order encoding.  The posets stream past: order 6 has 130,023, and
+    no campaign reads them again."""
     out = []
-    for leq in all_posets(n):
+    for leq in _posets(n):
         tables = _lattice_tables(leq)
         if tables is not None:
             out.append((leq, *tables, greatest(leq)))

@@ -8,8 +8,8 @@ an order relation.  Loading refuses structures that violate their axioms.
 
 `ordered_record` and `le_record` write the one-line record of a structure
 straight from its tuples, as `enumerate` prints it: the sorted, compact JSON
-of its `to_payload`, put together from cached text the way `canon` puts
-its ids together, with no structure built.
+of its `to_payload`, put together from `canon.part_text` as `canon` puts its
+ids together, with no structure built.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .canon import compact
+from .canon import compact, part_text
 from .le import LeSemigroup, PoeSemigroup, greatest, validate_le
-from .ordered import OrderedSemigroup, validate
+from .ordered import _DOWN_TABLES, OrderedSemigroup, validate
 
 KINDS = ("ordered_semigroup", "poe_semigroup", "le_semigroup")
 
@@ -190,7 +190,7 @@ def to_payload(structure, names=None):
     return payload
 
 
-@lru_cache(maxsize=4096)  # as many orders as ordered._down_table keeps
+@lru_cache(maxsize=_DOWN_TABLES)
 def _strict_pairs(leq):
     """The text of the sorted strict pairs [i, j] of one order (nested
     tuples of booleans, the cache key); streams meet the same orders on
@@ -200,37 +200,23 @@ def _strict_pairs(leq):
     )
 
 
-@lru_cache(maxsize=1)
-def _ordered_tail(table):
-    """The text after the order in an ordered record, for one table (nested
-    tuples, the cache key); an ordered stream yields all orders of a table
-    in a row."""
-    return f',"order":{len(table)},"table":{compact(table)}}}'
-
-
 def ordered_record(table, leq):
     """The record of the ordered semigroup (table, leq), nested tuples: the
     text `json.dumps(to_payload(s), sort_keys=True, separators=(",", ":"))`
     gives for s = OrderedSemigroup(table, leq), which is neither built nor
     checked."""
-    head = '{"kind":"ordered_semigroup","leq":'
-    return head + _strict_pairs(leq) + _ordered_tail(table)
-
-
-@lru_cache(maxsize=1)
-def _le_text(join, meet, top):
-    """The text before and after the table in an le record, for one lattice;
-    an le stream yields the structures on one labeled lattice in a row."""
-    join, meet, n = compact(join), compact(meet), len(join)
-    head = f'{{"join":{join},"kind":"le_semigroup","meet":{meet},"order":{n},"table":'
-    return head, f',"top":{top}}}'
+    return (
+        f'{{"kind":"ordered_semigroup","leq":{_strict_pairs(leq)},'
+        f'"order":{len(table)},"table":{part_text(table)}}}'
+    )
 
 
 def le_record(table, join, meet, top):
-    """`ordered_record` for LeSemigroup(table, join, meet, top=top), from the
-    join, meet and top text cached per lattice."""
-    head, tail = _le_text(join, meet, top)
-    return head + compact(table) + tail
+    """`ordered_record` for LeSemigroup(table, join, meet, top=top)."""
+    return (
+        f'{{"join":{part_text(join)},"kind":"le_semigroup","meet":{part_text(meet)},'
+        f'"order":{len(table)},"table":{compact(table)},"top":{top}}}'
+    )
 
 
 def load(path):

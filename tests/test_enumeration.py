@@ -237,6 +237,15 @@ class TestPosets:
         assert len(set(posets)) == len(posets)
         assert all(is_partial_order(m, 5) for m in posets)
 
+    def test_lattices_keep_no_posets(self):
+        # all_lattices filters the poset walk as it streams past: order 6
+        # would otherwise keep all 130,023 posets for the whole process
+        before = all_lattices(4)
+        all_posets.cache_clear()
+        all_lattices.cache_clear()
+        assert all_lattices(4) == before
+        assert all_posets.cache_info().currsize == 0
+
     def test_sorted_and_discrete_first(self):
         for n in (2, 3):
             posets = all_posets(n)

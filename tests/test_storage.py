@@ -16,6 +16,7 @@ from posemi import (
     storage,
     to_payload,
 )
+from posemi.canon import le_digest, ordered_digest, part_text
 from posemi.cli import _tuples
 from posemi.storage import le_record, ordered_record
 
@@ -255,7 +256,7 @@ class TestRecordsFromTuples:
 
     @pytest.mark.parametrize(
         "kind,caches",
-        [("ordered", ["_strict_pairs", "_ordered_tail"]), ("le", ["_le_text"])],
+        [("ordered", [storage._strict_pairs, part_text]), ("le", [part_text])],
     )
     def test_alternating_tables_and_orders(self, kind, caches):
         # the raw order-3 stream in order, then its first and last items in
@@ -263,14 +264,44 @@ class TestRecordsFromTuples:
         # must miss as well as hit, and every record match its oracle
         items = list(_tuples(kind, [3], "none"))
         turns = [x for pair in zip(items, reversed(items)) for x in pair]
-        for name in caches:
-            getattr(storage, name).cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         for item in items + turns:
             record, s = _record_and_structure(kind, item)
             assert record == _dumped(s)
-        for name in caches:
-            info = getattr(storage, name).cache_info()
-            assert info.hits and info.misses, (name, info)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.hits and info.misses, (cache, info)
+
+    @pytest.mark.parametrize(
+        "kind,dedup,misses",
+        [
+            ("ordered", "none", 113),  # once per table
+            ("ordered", "iso", 24),
+            # at most twice per labeled lattice, its join and meet; the six
+            # lattices are chains, and consecutive ones share some text
+            ("le", "none", 10),
+            ("le", "iso", 10),
+        ],
+    )
+    def test_ids_and_records_share_the_part_text(self, kind, dedup, misses):
+        items = list(_tuples(kind, [3], dedup))
+        part_text.cache_clear()
+        for item in items:
+            if kind == "le":
+                (table, join, meet, top), _ = item
+                le_digest(table, join, meet)
+                le_record(table, join, meet, top)
+            else:
+                ordered_digest(*item)
+                ordered_record(*item)
+        calls = 2 * len(items)  # the table's text in an id and in a record
+        if kind == "le":
+            lattices = {(join, meet) for (_, join, meet, _), _ in items}
+            assert len(lattices) == 6 and misses <= 2 * len(lattices)
+            calls *= 2  # the join's and the meet's
+        info = part_text.cache_info()
+        assert (info.misses, info.hits) == (misses, calls - misses)
 
 
 class TestLoadedHelpers:
