@@ -8,9 +8,10 @@ kernel; only the file path then searches witnesses, for the conditions
 reported false.  `_id_rule` alone decides ids, also in `enumerate --out`
 file names: the bare digest on iso streams, whose structures are their own
 canonical forms, else the canonical id, of an le structure's isomorphic
-source.  `_tuples` feeds both commands.  `enumerate` prints each record
-straight from its tuple (`storage.ordered_record`, `storage.le_record`);
-only `enumerate --out` builds structures, to save them.
+source.  `_tuples` feeds both commands.  `enumerate` writes each record
+straight from its tuple (`storage.ordered_record`, `storage.le_record`),
+to stdout or, one line per file, to `--out`; structures are built only
+from the files the other commands load.
 
 What a run covers is decided here alone, and every flag is checked when
 the arguments are parsed.  `--order` and `--max-order` run from 1 to
@@ -272,12 +273,11 @@ def cmd_classify(args):
     s = loaded.structure
     if args.subset is not None:
         flags = ordered.classify_subset(s, _parse_subset(loaded, args.subset))
-    elif isinstance(s, le.PoeSemigroup):
+    elif (top := le.greatest(s.leq)) is not None:  # also of an ordered file
+        s = le.PoeSemigroup(s.table, s.leq, top)
         flags = le.element_class(s, loaded.index_of(args.element))
     else:
-        return _usage_error(
-            "element classification requires a poe_semigroup or le_semigroup file"
-        )
+        return _usage_error("element classification requires a greatest element")
     names = (f.name for f in fields(flags))  # in the order the lines show
     print(" ".join(f"{k}={_fmt_bool(getattr(flags, k))}" for k in names))
     return 0
@@ -322,29 +322,26 @@ def cmd_enumerate(args):
     start, step = args.shard or (0, 1)
     items = islice(_tuples(args.kind, [args.order], args.dedup), start, None, step)
     items = islice(items, args.limit)
-    if args.out is None:  # each record is written from its tuple
-        if args.kind == "le":
-            records = (storage.le_record(*s) for s, _ in items)
-        else:
-            records = (storage.ordered_record(*pair) for pair in items)
+    # each item becomes its record and the parts of its id, written from its
+    # tuple: an le structure is named by its source
+    if args.kind == "le":
+        records = ((storage.le_record(*s), src) for s, src in items)
+    else:
+        records = ((storage.ordered_record(*pair), pair) for pair in items)
+    if args.out is None:
         write = sys.stdout.write
-        for record in records:
+        for record, _ in records:
             write(record + "\n")
         return 0
-    # each item becomes (the parts of its id, its structure)
-    if args.kind == "le":  # an le structure is named by its source
-        sid = _id_rule("theorem2", args.dedup == "iso")
-        items = ((src, le.LeSemigroup(*s[:3], top=s[3])) for s, src in items)
-    else:
-        sid = _id_rule("theorem1", args.dedup == "iso")
-        items = ((p, ordered.OrderedSemigroup(*p)) for p in items)
+    sid = _id_rule("theorem2" if args.kind == "le" else "theorem1", args.dedup == "iso")
     outdir = Path(args.out)
     count = 0
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for k, (parts, s) in enumerate(items):
+        for k, (record, parts) in enumerate(records):
             # named by position in the unsharded stream: shards share a DIR
-            storage.save(s, outdir / f"{start + k * step:06d}-{sid(*parts)}.json")
+            path = outdir / f"{start + k * step:06d}-{sid(*parts)}.json"
+            path.write_text(record + "\n", encoding="utf-8")
             count += 1
     except OSError as exc:
         print(f"error: {outdir}: {exc.strerror or exc}", file=sys.stderr)

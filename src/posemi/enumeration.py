@@ -449,15 +449,16 @@ def le_sources(cfg):
     labeled lattice J0.  A lattice's class is keyed by its canonical join,
     the least relabeling of the join's cells (canon.least_relabeling): the
     join fixes the order, meet and top, so two labeled lattices are
-    isomorphic exactly when their keys are equal.  The raw stream yields
-    J0's tables as their own sources, and every later lattice of the class
-    takes them relabeled by the first (perm, src) of canon.relabelings that
-    relabels J0's join onto its own, sorted into the search's row-major
-    order.  Two structures on J0 are isomorphic exactly when an automorphism
-    of J0 relabels one onto the other, so the iso search breaks symmetry by
-    Aut(J0) alone and keeps one table per isomorphism class.  Each is
-    canonicalized, and the canonical forms on a labeled lattice come out,
-    sorted by table and each its own source, when that lattice does.
+    isomorphic exactly when their keys are equal.  The raw search stores
+    J0's tables, each its own source, and every labeled lattice of the
+    class, J0 included, takes them relabeled by the first (perm, src) of
+    canon.relabelings that relabels J0's join onto its own (for J0 the
+    identity), sorted into the search's row-major order.  Two structures on
+    J0 are isomorphic exactly when an automorphism of J0 relabels one onto
+    the other, so the iso search breaks symmetry by Aut(J0) alone and keeps
+    one table per isomorphism class.  Each is canonicalized, and the
+    canonical forms on a labeled lattice come out, sorted by table and each
+    its own source, when that lattice does.
     """
     n = cfg.order
     perms = canon.relabelings(n)
@@ -467,11 +468,8 @@ def le_sources(cfg):
     for _, join, meet, top in all_lattices(n):
         cells = canon.row_major(join)
         (least,), _ = canon.least_relabeling(((cells, True),), perms)
-        key = tuple(least)
-        found = classes.get(key)
-        if found is None:
-            own = []
-            classes[key] = (cells, own)
+        first, structures = classes.setdefault(tuple(least), (cells, []))
+        if first is cells:  # J0: search the class once
             hook = _join_distributive(join, n)
             if iso:
                 aut = [p for p in perms[1:] if canon.relabel(cells, *p) == cells]
@@ -480,11 +478,8 @@ def le_sources(cfg):
                     canonical.setdefault(j, []).append(t)
             else:
                 for table, _ in _fill(n, hook):
-                    source = (table, join, meet)
-                    own.append((canon.row_major(table), source))
-                    yield (table, join, meet, top), source
-        elif not iso:
-            first, structures = found
+                    structures.append((canon.row_major(table), (table, join, meet)))
+        if not iso:
             perm, src = next(p for p in perms if canon.relabel(first, *p) == cells)
             moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
             moved.sort(key=itemgetter(0))

@@ -6,10 +6,11 @@ transitive closure is applied on load before re-validation.  Lattice-ordered
 semigroups carry explicit join and meet tables plus the top index instead of
 an order relation.  Loading refuses structures that violate their axioms.
 
-`ordered_record` and `le_record` write the one-line record of a structure
-straight from its tuples, as `enumerate` prints it: the sorted, compact JSON
-of its `to_payload`, put together from `canon.part_text` as `canon` puts its
-ids together, with no structure built.
+A file `save` writes is one line, its structure's record: the sorted,
+compact JSON of its `to_payload`.  `ordered_record` and `le_record` write
+the record straight from a structure's tuples, for `enumerate` and its
+`--out` files, put together from `canon.part_text` as `canon` puts its ids
+together, with no structure built.  `load` reads indented files too.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ def load(path):
 
 
 def save(structure, path, names=None):
-    """Write a structure file; load(save(s)) reproduces s exactly."""
+    """Write a structure file, its record and a newline, as `enumerate`
+    writes it; load(save(s)) reproduces s exactly."""
     payload = to_payload(structure, names=names)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")

@@ -81,9 +81,20 @@ class TestClassifyGolden:
         assert out == "right=true left=true bi=true quasi=true quasi_defined=true\n"
 
     def test_element_on_plain_ordered_file_fails(self, capsys):
-        code, _, err = run(capsys, ["classify", "--file", N2, "--element", "a"])
+        # s2l's discrete order has no greatest element
+        code, _, err = run(capsys, ["classify", "--file", S2L, "--element", "0"])
         assert code == 2
-        assert "poe_semigroup or le_semigroup" in err
+        assert "requires a greatest element" in err
+
+    def test_element_on_ordered_file_with_a_top(self, capsys, tmp_path):
+        # n2's order has the top a: its flags are those of its poe file
+        poe = tmp_path / "n2-poe.json"
+        s = load(N2).structure
+        save(le.PoeSemigroup(s.table, s.leq), poe, names=["0", "a"])
+        assert load(poe).kind == "poe_semigroup"
+        want = run(capsys, ["classify", "--file", str(poe), "--element", "a"])
+        got = run(capsys, ["classify", "--file", N2, "--element", "a"])
+        assert got == want and want[0] == 0
 
 
 class TestGenerateGolden:
@@ -456,11 +467,15 @@ def test_campaign_builds_no_structure(capsys, monkeypatch, scope, dedup):
 
 @pytest.mark.parametrize("dedup", ["none", "iso"])
 @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
-def test_enumerate_stdout_builds_no_structure(capsys, monkeypatch, kind, dedup):
-    """enumerate writes each stdout record from its tuple: with the structure
-    constructors and `to_payload` made to raise, it prints the same stream."""
+def test_enumerate_stdout_builds_no_structure(
+    capsys, monkeypatch, tmp_path, kind, dedup
+):
+    """enumerate writes each record from its tuple, to stdout and to --out:
+    with the structure constructors, `to_payload` and `save` made to raise,
+    it prints the same stream and writes the same files."""
     argv = ["enumerate", "--kind", kind, "--order", "3", "--dedup", dedup]
     want = run(capsys, argv)
+    assert run(capsys, [*argv, "--out", str(tmp_path / "want")])[0] == 0
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"enumerate --kind {kind} built a structure")
@@ -468,8 +483,15 @@ def test_enumerate_stdout_builds_no_structure(capsys, monkeypatch, kind, dedup):
     for cls in (ordered.OrderedSemigroup, le.PoeSemigroup, le.LeSemigroup):
         monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(storage, "to_payload", refuse)
+    monkeypatch.setattr(storage, "save", refuse)
     assert run(capsys, argv) == want
     assert want[0] == 0 and want[1].count("\n") > 20
+    assert run(capsys, [*argv, "--out", str(tmp_path / "got")])[0] == 0
+    files = [
+        {f.name: f.read_text(encoding="utf-8") for f in (tmp_path / d).iterdir()}
+        for d in ("want", "got")
+    ]
+    assert files[0] == files[1] and len(files[0]) > 20
 
 
 @pytest.mark.parametrize("dedup, calls", [("none", 607), ("iso", 0)])
@@ -581,6 +603,20 @@ class TestEnumerateCommand:
 
         for f in files:
             load(f)  # must all be valid
+
+    @pytest.mark.parametrize("shard", [[], ["--shard", "1/3"]])
+    @pytest.mark.parametrize("dedup", ["none", "iso"])
+    @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
+    def test_out_files_are_the_stdout_lines(self, capsys, tmp_path, kind, dedup, shard):
+        # names begin with the stream position, so name order is stream order
+        argv = ["enumerate", "--kind", kind, "--order", "3", "--dedup", dedup, *shard]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
+        code, summary, _ = run(capsys, [*argv, "--out", str(tmp_path)])
+        files = sorted(tmp_path.iterdir())
+        assert (code, summary) == (0, f"# wrote={len(files)} dir={tmp_path}\n")
+        texts = [f.read_text(encoding="utf-8") for f in files]
+        assert texts == out.splitlines(keepends=True)
 
     def test_out_dir_le_names_files_by_le_id(self, capsys, tmp_path):
         outdir = tmp_path / "le"

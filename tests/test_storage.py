@@ -254,6 +254,15 @@ class TestRecordsFromTuples:
             assert record == _dumped(s)
             assert from_payload(json.loads(record)).structure == s
 
+    @pytest.mark.parametrize("kind", ["ordered", "le"])
+    def test_save_writes_the_record(self, tmp_path, kind):
+        # a saved file is one line, the record enumerate prints and a newline
+        path = tmp_path / "s.json"
+        for item in _tuples(kind, range(1, 4), "none"):
+            record, s = _record_and_structure(kind, item)
+            save(s, path)
+            assert path.read_text(encoding="utf-8") == record + "\n"
+
     @pytest.mark.parametrize(
         "kind,caches",
         [("ordered", [storage._strict_pairs, part_text]), ("le", [part_text])],
