@@ -13,13 +13,12 @@ straight from its tuple (`storage.ordered_record`, `storage.le_record`),
 to stdout or, one line per file, to `--out`; structures are built only
 from the files the other commands load.
 
-What a run covers is decided here alone, and every flag is checked when
-the arguments are parsed.  `--order` and `--max-order` run from 1 to
-`canon.DEDUP_CAP`, the cap of the canonical ids.  `enumerate` and `verify`
-take their shard by one rule, `islice(items, start, None, step)`, from the
-tuple streams of `enumeration`, before anything is built; `enumerate
---limit` cuts the shard.  islice takes no step or stop above `sys.maxsize`,
-and neither do `--shard` and `--limit`.
+What a run covers is decided here alone, and every flag is checked before
+anything is built; `_check_flags` alone caps `--order` and `--max-order`,
+by command, kind or scope and dedup mode.  `enumerate` and `verify` take
+their shard by one rule, `islice(items, start, None, step)`, from the tuple
+streams of `enumeration`; `enumerate --limit` cuts the shard.  islice takes
+no step or stop above `sys.maxsize`, and neither do `--shard` and `--limit`.
 
 Exit status is nonzero exactly when a validation failure, an oracle
 discrepancy or an equivalence failure occurred; usage errors exit with
@@ -55,31 +54,6 @@ def _parse_shard(text):
     return i, t
 
 
-def _path(text):
-    """argparse type of --file and --out: a path, which may not be empty."""
-    if not text:
-        raise argparse.ArgumentTypeError("must not be empty")
-    return text
-
-
-def _at_least(least, capped=False):
-    """argparse type: an integer no smaller than least and no larger than
-    sys.maxsize or, when capped, canon.DEDUP_CAP."""
-
-    def parse(text):
-        n = int(text)
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
-        most = canon.DEDUP_CAP if capped else sys.maxsize
-        if n > most:
-            why = " (the canonicalization cap)" if capped else ""
-            raise argparse.ArgumentTypeError(f"must be at most {most}{why}, got {text}")
-        return n
-
-    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
-    return parse
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="posemi",
@@ -90,41 +64,66 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="emit structure records")
     p.add_argument("--kind", required=True, choices=["semigroup", "ordered", "le"])
-    p.add_argument("--order", required=True, type=_at_least(1, capped=True))
+    p.add_argument("--order", required=True, type=int)
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
-    p.add_argument("--limit", type=_at_least(0))
-    p.add_argument(
-        "--out", type=_path, metavar="DIR", help="write one file per structure"
-    )
+    p.add_argument("--limit", type=int)
+    p.add_argument("--out", metavar="DIR", help="write one file per structure")
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("scope", choices=["theorem1", "theorem2", "remark"])
-    p.add_argument("--max-order", type=_at_least(1, capped=True), dest="max_order")
+    p.add_argument("--max-order", type=int)
     p.add_argument("--dedup", choices=["none", "iso"], default="none")
     p.add_argument("--shard", type=_parse_shard, metavar="I/T")
-    p.add_argument(
-        "--file", type=_path, help="verify one structure file instead of a universe"
-    )
+    p.add_argument("--file", help="verify one structure file instead of a universe")
 
     p = sub.add_parser("classify", help="ideal flags of a subset or element")
-    p.add_argument("--file", type=_path, required=True)
+    p.add_argument("--file", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--subset", help="comma-separated indices or names")
     g.add_argument("--element", help="index or name")
 
     p = sub.add_parser("generate", help="generated ideal or ideal element")
-    p.add_argument("--file", type=_path, required=True)
+    p.add_argument("--file", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--subset", help="comma-separated indices or names")
     g.add_argument("--element", help="index or name")
     p.add_argument("--kind", required=True, choices=["left", "right", "quasi"])
 
     p = sub.add_parser("witness", help="intra-regularity witness for an element")
-    p.add_argument("--file", type=_path, required=True)
+    p.add_argument("--file", required=True)
     p.add_argument("--element", required=True)
 
     return parser
+
+
+ISO_TABLE_CAP = 7  # the iso table search has run at 7: 1,627,672 tables
+
+
+def _check_flags(parser, args):
+    """Check the flag values once the command, its kind or scope and the
+    dedup mode are known: a usage error (exit 2) before anything is built.
+    An empty --file or --out names no file.  One rule caps the orders: iso
+    semigroup and ordered streams take the bare digest as id, so only their
+    table search caps them; every other run needs canonical forms (raw ids
+    and --out names, the iso le search) and takes canon.DEDUP_CAP."""
+    for dest in ("file", "out"):
+        if getattr(args, dest, None) == "":
+            parser.error(f"argument --{dest}: must not be empty")
+    if args.command not in ("enumerate", "verify"):
+        return
+    use = args.kind if args.command == "enumerate" else args.scope
+    if args.dedup == "iso" and use in ("semigroup", "ordered", "theorem1", "remark"):
+        cap = ISO_TABLE_CAP, " (the iso table search cap)"
+    else:
+        cap = canon.DEDUP_CAP, " (the canonicalization cap)"
+    bounds = ("order", 1, *cap), ("max_order", 1, *cap), ("limit", 0, sys.maxsize, "")
+    for dest, least, most, why in bounds:
+        n = getattr(args, dest, None)
+        if n is not None and not least <= n <= most:
+            bound = f"at least {least}" if n < least else f"at most {most}{why}"
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"argument {flag}: must be {bound}, got {n}")
 
 
 def _parse_subset(loaded, text):
@@ -340,7 +339,7 @@ def cmd_enumerate(args):
         outdir.mkdir(parents=True, exist_ok=True)
         for k, (record, parts) in enumerate(records):
             # named by position in the unsharded stream: shards share a DIR
-            path = outdir / f"{start + k * step:06d}-{sid(*parts)}.json"
+            path = outdir / f"{start + k * step:010d}-{sid(*parts)}.json"
             path.write_text(record + "\n", encoding="utf-8")
             count += 1
     except OSError as exc:
@@ -351,7 +350,9 @@ def cmd_enumerate(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_flags(parser, args)
     handlers = {
         "enumerate": cmd_enumerate,
         "verify": cmd_verify,

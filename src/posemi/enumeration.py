@@ -15,8 +15,7 @@ Compatible orders come from a closure walk, which also gives all partial
 orders; lattices are filtered from those.
 All streams are deterministic: ascending by the row-major encoding of the
 structure, so a caller can take any part of one by position (the command
-line shards and limits it with islice).  Orders run from 1 to
-canon.DEDUP_CAP, the cap of the canonical forms and ids.
+line shards and limits it with islice).
 
 Deduplication keeps exactly the structures that equal their own canonical
 relabeling, so the up_to_iso stream is the set of canonical forms of the raw
@@ -50,17 +49,17 @@ DEDUP_MODES = ("none", "up_to_iso")
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Parameters for one enumeration run: the order, from 1 to
-    canon.DEDUP_CAP, and the dedup mode.  Which part of a stream a run
-    covers (shard, limit) is the caller's choice; the command line takes it
-    with islice."""
+    """Parameters for one enumeration run: the order, at least 1, and the
+    dedup mode.  How large an order a run may take, and which part of a
+    stream it covers (shard, limit), is the caller's choice; the command
+    line decides both."""
 
     order: int
     dedup: str = "none"
 
     def __post_init__(self):
-        if not 1 <= self.order <= canon.DEDUP_CAP:
-            raise ValueError(f"order must be between 1 and {canon.DEDUP_CAP}")
+        if self.order < 1:
+            raise ValueError("order must be at least 1")
         if self.dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}")
 

@@ -14,6 +14,7 @@ import posemi
 from posemi import (
     OrderedSemigroup,
     canon,
+    cli,
     enumeration,
     le,
     le_structure_id,
@@ -51,11 +52,17 @@ def run_usage_error(capsys, argv):
     return captured.err
 
 
-def cap_message(flag, cap, order):
-    return (
-        f"error: argument {flag}: must be at most {cap}"
-        f" (the canonicalization cap), got {order}\n"
-    )
+def cap_message(flag, cap, order, why="the canonicalization cap"):
+    return f"error: argument {flag}: must be at most {cap} ({why}), got {order}\n"
+
+
+def order_cap(use, dedup):
+    """The order cap of an enumerate kind or verify scope and its reason:
+    iso semigroup and ordered streams take the bare digest, so only their
+    table search bounds them; every other run needs canonical forms."""
+    if dedup == "iso" and use in ("semigroup", "ordered", "theorem1", "remark"):
+        return 7, "the iso table search cap"
+    return 6, "the canonicalization cap"
 
 
 class TestClassifyGolden:
@@ -366,9 +373,20 @@ class TestVerifyCampaign:
 
     @pytest.mark.parametrize("scope", ["theorem1", "theorem2", "remark"])
     @pytest.mark.parametrize("dedup", ["none", "iso"])
-    def test_max_order_above_cap_is_a_usage_error(self, capsys, scope, dedup):
-        argv = ["verify", scope, "--max-order", "7", "--dedup", dedup]
-        assert run_usage_error(capsys, argv).endswith(cap_message("--max-order", 6, 7))
+    def test_max_order_above_cap_is_a_usage_error(
+        self, capsys, monkeypatch, scope, dedup
+    ):
+        # the cap reaches the campaign, which an order-7 iso run takes too
+        # long to walk here; the cap plus one is refused before any walk
+        cap, why = order_cap(scope, dedup)
+        walked = []
+        monkeypatch.setattr(cli, "_campaign", lambda *a: walked.append(a) or ())
+        argv = ["verify", scope, "--dedup", dedup, "--max-order"]
+        assert run(capsys, [*argv, str(cap)]) == (0, "# checked=0 failures=0\n", "")
+        assert walked == [(scope, cap, dedup, 0, 1)]
+        err = run_usage_error(capsys, [*argv, str(cap + 1)])
+        assert err.endswith(cap_message("--max-order", cap, cap + 1, why))
+        assert len(walked) == 1
 
     @pytest.mark.parametrize("order", ["0", "-1", "x"])
     def test_max_order_below_one_is_a_usage_error(self, capsys, order):
@@ -381,12 +399,18 @@ class TestVerifyCampaign:
         assert "--max-order" in err
 
     def test_max_order_above_dedup_cap(self, capsys, monkeypatch):
-        # the cap is read when the arguments are parsed, in both dedup modes
+        # canon.DEDUP_CAP is read once the arguments are parsed, and bounds
+        # only the runs that need canonical forms
         monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
-        for dedup in ("none", "iso"):
-            argv = ["verify", "remark", "--max-order", "3", "--dedup", dedup]
-            err = run_usage_error(capsys, argv)
-            assert err.endswith(cap_message("--max-order", 2, 3))
+        scopes = ["theorem1", "theorem2", "remark"]
+        for scope, dedup in itertools.product(scopes, ["none", "iso"]):
+            argv = ["verify", scope, "--max-order", "3", "--dedup", dedup]
+            if order_cap(scope, dedup)[0] == 7:
+                code, out, _ = run(capsys, argv)
+                assert (code, out.endswith(" failures=0\n")) == (0, True)
+            else:
+                err = run_usage_error(capsys, argv)
+                assert err.endswith(cap_message("--max-order", 2, 3))
 
 
 class TestCampaignFailure:
@@ -628,7 +652,7 @@ class TestEnumerateCommand:
         want = []
         for i, name in enumerate(names):
             L = load(outdir / name).structure
-            want.append(f"{i:06d}-{le_structure_id(L.table, L.join, L.meet)}.json")
+            want.append(f"{i:010d}-{le_structure_id(L.table, L.join, L.meet)}.json")
         assert len(names) == 12
         assert names == want
 
@@ -644,15 +668,28 @@ class TestEnumerateCommand:
         assert target.read_text(encoding="utf-8") == "{}"
 
     def test_out_above_dedup_cap(self, capsys, monkeypatch, tmp_path):
-        # file names carry ids, so the cap is a usage error before any write
+        # raw file names carry canonical ids, so the cap is a usage error
+        # before any write; iso names are bare digests and take no cap
         monkeypatch.setattr(posemi.canon, "DEDUP_CAP", 2)
         outdir = tmp_path / "structures"
-        err = run_usage_error(
-            capsys,
-            ["enumerate", "--kind", "ordered", "--order", "3", "--out", str(outdir)],
-        )
+        argv = ["enumerate", "--kind", "ordered", "--order", "3", "--out", str(outdir)]
+        err = run_usage_error(capsys, argv)
         assert err.endswith(cap_message("--order", 2, 3))
         assert not outdir.exists()
+        code, out, _ = run(capsys, [*argv, "--dedup", "iso"])
+        assert (code, out) == (0, f"# wrote=173 dir={outdir}\n")
+
+    def test_out_names_sort_past_a_million(self, capsys, monkeypatch, tmp_path):
+        # positions 100,001 and 1,000,000: six-digit names would sort the
+        # second first, ten digits keep name order the stream order
+        pair = ((0,),), ((True,),)
+        stream = itertools.repeat(pair, 10**6 + 1)
+        monkeypatch.setattr(cli, "_tuples", lambda *a: stream)
+        argv = ["enumerate", "--kind", "semigroup", "--order", "1"]
+        argv += ["--shard", "100001/899999", "--out", str(tmp_path)]
+        assert run(capsys, argv) == (0, f"# wrote=2 dir={tmp_path}\n", "")
+        names = sorted(f.name[:10] for f in tmp_path.iterdir())
+        assert names == ["0000100001", "0001000000"]
 
     @pytest.mark.parametrize(
         "kind,dedup,order",
@@ -742,9 +779,37 @@ class TestEnumerateCommand:
 
     @pytest.mark.parametrize("kind", ["semigroup", "ordered", "le"])
     @pytest.mark.parametrize("dedup", ["none", "iso"])
-    def test_order_above_cap_is_a_usage_error(self, capsys, kind, dedup):
-        argv = ["enumerate", "--kind", kind, "--order", "7", "--dedup", dedup]
-        assert run_usage_error(capsys, argv).endswith(cap_message("--order", 6, 7))
+    def test_order_above_cap_is_a_usage_error(self, capsys, monkeypatch, kind, dedup):
+        # the cap reaches the stream; the cap plus one is refused before it
+        cap, why = order_cap(kind, dedup)
+        streamed = []
+        monkeypatch.setattr(cli, "_tuples", lambda *a: streamed.append(a) or ())
+        argv = ["enumerate", "--kind", kind, "--dedup", dedup, "--order"]
+        assert run(capsys, [*argv, str(cap)]) == (0, "", "")
+        assert streamed == [(kind, [cap], dedup)]
+        err = run_usage_error(capsys, [*argv, str(cap + 1)])
+        assert err.endswith(cap_message("--order", cap, cap + 1, why))
+        assert len(streamed) == 1
+
+    def test_iso_semigroups_of_order_7(self, capsys):
+        # the first 200 of 1,000 records are lex leaders over all 5,040
+        # relabelings
+        argv = ["enumerate", "--kind", "semigroup", "--order", "7", "--dedup", "iso"]
+        code, out, _ = run(capsys, [*argv, "--limit", "1000"])
+        records = [json.loads(line) for line in out.splitlines()]
+        assert (code, len(records)) == (0, 1000)
+        perms = canon.relabelings(7)
+        for r in records[:200]:
+            assert canon.is_least(((r["table"], True),), perms)
+
+    def test_iso_ordered_prefix_of_order_7_loads(self, capsys):
+        argv = ["enumerate", "--kind", "ordered", "--order", "7", "--dedup", "iso"]
+        code, out, _ = run(capsys, [*argv, "--limit", "100"])
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 100)
+        for line in lines:
+            s = storage.from_payload(json.loads(line)).structure
+            assert (s.n, type(s)) == (7, OrderedSemigroup)
 
 
 class TestErrorPaths:
