@@ -4,7 +4,12 @@ Carrier elements are the indices 0..n-1.  Subsets of the carrier are plain
 int bitmasks (bit i set means element i is in the subset), so products,
 downward closures and inclusion tests reduce to a handful of integer
 operations and exhaustive scans over all 2^n subsets stay cheap at the
-carrier sizes this module targets.
+carrier sizes this module targets.  `downward_closure` and `set_product`
+read union tables over chunks of 6 elements, built per structure on first
+use (`_chunked`): a closure is one lookup per chunk of the mask, and a
+product one lookup per chunk of each factor and ceil(log2 n) shifts.  Each
+table holds ceil(n / 6) * 64 entries (of n * n bits for the products), so
+their number grows linearly with n and they serve every carrier size.
 
 An ideal of any kind here is a nonempty, downward-closed subset satisfying
 the kind's multiplicative condition:
@@ -143,30 +148,25 @@ def validate(s):
 
 
 def downward_closure(s, mask):
-    """All elements lying below some element of the subset."""
+    """All elements lying below some element of the subset (`_chunked`)."""
     _check_mask(s, mask)
-    out = 0
-    below = s.below
-    m = mask
-    while m:
-        low = m & -m
-        out |= below[low.bit_length() - 1]
-        m ^= low
-    return out
+    if "below" not in s._ideals:
+        s._ideals.update(_chunked(s))
+    return _union(s._ideals["below"], mask)
 
 
 def set_product(s, a_mask, b_mask):
-    """Elementwise product {a*b : a in A, b in B}; empty if either side is."""
+    """Elementwise product {a*b : a in A, b in B}; empty if either side is
+    (`_chunked`)."""
     _check_mask(s, a_mask)
     _check_mask(s, b_mask)
-    out = 0
-    table = s.table
-    bs = subset_indices(b_mask)
-    for i in subset_indices(a_mask):
-        row = table[i]
-        for j in bs:
-            out |= 1 << row[j]
-    return out
+    if "below" not in s._ideals:
+        s._ideals.update(_chunked(s))
+    columns, rows, folds = s._ideals["products"]
+    out = _union(columns, b_mask) & _union(rows, a_mask)
+    for shift in folds:
+        out |= out >> shift
+    return out & s.full
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,57 @@ def _union_tables(images):
     for img in images:
         out += [v | img for v in out]
     return out
+
+
+# Bits per chunk of the tables of `_chunk_tables`: 2 ** _CHUNK entries each.
+_CHUNK = 6
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _chunk_tables(images):
+    """The union tables of images, _CHUNK at a time: out[c][k] is the union
+    of images[c * _CHUNK + i] over the bits i of k.  They hold
+    ceil(n / _CHUNK) * 2 ** _CHUNK entries, linear in the length n of
+    images, and `_union` reads the union over any mask from them."""
+    return [_union_tables(images[c : c + _CHUNK]) for c in range(0, len(images), _CHUNK)]
+
+
+def _union(tables, mask):
+    """The union of the images over the bits of mask, one lookup per chunk
+    of `_chunk_tables`."""
+    out = 0
+    for table in tables:
+        out |= table[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
+    return out
+
+
+def _chunked(s):
+    """The chunk tables of `downward_closure` and `set_product`, as the
+    entries "below" and "products" that those two keep in s._ideals, with
+    the ideal families; the first call of either builds both.
+
+    "below" is over the down-sets (i].  The product tables are over ints of
+    n fields of n bits, field i standing for row i: "columns" over the
+    columns j, with {i*j} in field i, so a lookup by B gives each row's
+    image iB at once, and "rows" over the full fields, so a lookup by A
+    keeps the fields of the rows in A.  The folds are the shifts that OR
+    the fields into field 0, halving the fields left each time.  Each kept
+    field lies in AB, so folding adds nothing outside it, and every field
+    reaches field 0.
+    """
+    n = s.n
+    columns = [sum(1 << v << i * n for i, v in enumerate(col)) for col in zip(*s.table)]
+    folds = []
+    k = n
+    while k > 1:
+        k = (k + 1) // 2
+        folds.append(k * n)
+    rows = [s.full << i * n for i in range(n)]
+    return {
+        "below": _chunk_tables(s.below),
+        "products": (_chunk_tables(columns), _chunk_tables(rows), folds),
+    }
 
 
 def _families(s):

@@ -105,6 +105,20 @@ def _fail_violations(violations):
     raise StructureFileError(f"invalid structure: {head}{tail}")
 
 
+def _name_fault(name):
+    """Why `--subset`, which splits at commas and strips each token, could
+    not address the element name, or None when it can."""
+    if not isinstance(name, str):
+        return "must be a string"
+    if not name:
+        return "must not be empty"
+    if "," in name:
+        return "must not contain a comma"
+    if name != name.strip():
+        return "must not begin or end with whitespace"
+    return None
+
+
 def from_payload(obj):
     """Build and validate a structure from a parsed JSON object."""
     if not isinstance(obj, dict):
@@ -127,6 +141,9 @@ def from_payload(obj):
             raise StructureFileError("field 'names' must list one string per element")
         if len(set(raw)) != n:
             raise StructureFileError("field 'names' must not repeat labels")
+        for idx, name in enumerate(raw):
+            if fault := _name_fault(name):
+                raise StructureFileError(f"field 'names'[{idx}] {fault}: {name!r}")
         names = tuple(raw)
 
     if kind == "le_semigroup":
@@ -187,6 +204,11 @@ def to_payload(structure, names=None):
     if names is not None:
         if len(names) != structure.n:
             raise ValueError("names must list one label per element")
+        for name in names:
+            if fault := _name_fault(name):
+                raise ValueError(f"element name {name!r} {fault}")
+        if len(set(names)) != structure.n:
+            raise ValueError("names must not repeat labels")
         payload["names"] = list(names)
     return payload
 

@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,27 @@ def make_l3null():
 def make_l3meet():
     """Chain 0 < a < e with x*y = min(x, y)."""
     return LeSemigroup(CHAIN3_MEET, CHAIN3_JOIN, CHAIN3_MEET, top=2)
+
+
+def direct_product(*factors):
+    """The direct product of ordered semigroups: componentwise product and
+    order, the tuples of factor elements numbered in lexicographic order."""
+    elems = list(product(*(range(f.n) for f in factors)))
+    index = {e: i for i, e in enumerate(elems)}
+    table = [
+        [index[tuple(f.table[x][y] for f, x, y in zip(factors, a, b))] for b in elems]
+        for a in elems
+    ]
+    leq = [
+        [all(f.leq[x][y] for f, x, y in zip(factors, a, b)) for b in elems]
+        for a in elems
+    ]
+    return OrderedSemigroup(table, leq)
+
+
+def make_p12():
+    """n2 x s2l x l3meet, 12 elements: the structure of fixtures/p12.json."""
+    return direct_product(make_n2(), make_s2l(), make_l3meet())
 
 
 @pytest.fixture

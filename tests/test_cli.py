@@ -27,13 +27,14 @@ from posemi import (
 from posemi.cli import _fmt_bool, _line, main
 from posemi.enumeration import EnumerationConfig
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_p12
 from second_methods import streams
 
 N2 = str(FIXTURES / "n2.json")
 S2L = str(FIXTURES / "s2l.json")
 L3NULL = str(FIXTURES / "l3null.json")
 L3MEET = str(FIXTURES / "l3meet.json")
+P12 = str(FIXTURES / "p12.json")
 HUGE = 99999999999999999999  # above sys.maxsize, the largest islice step or stop
 
 
@@ -151,6 +152,66 @@ class TestWitnessGolden:
         code, out, _ = run(capsys, ["witness", "--file", N2, "--element", "a"])
         assert code == 0
         assert out == "none\n"
+
+
+class TestTwelveElementFile:
+    """p12.json, n2 x s2l x l3meet with the componentwise order: the file
+    commands on a carrier at the subset enumeration cap."""
+
+    def test_is_the_direct_product(self):
+        assert load(P12).structure == make_p12()
+
+    def test_classify_subset(self, capsys):
+        code, out, _ = run(capsys, ["classify", "--file", P12, "--subset", "0l0,0la,0le"])
+        assert code == 0
+        assert out == (
+            "left=false right=true quasi=true bi=true downward_closed=true nonempty=true\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, ideal",
+        [
+            ("left", "{0l0, 0la, 0r0, 0ra}"),
+            ("right", "{0l0, 0la}"),
+            ("quasi", "{0l0, 0la}"),
+        ],
+    )
+    def test_generate_subset(self, capsys, kind, ideal):
+        code, out, _ = run(
+            capsys, ["generate", "--file", P12, "--subset", "0la", "--kind", kind]
+        )
+        assert code == 0
+        assert out == f"{ideal}\noracle: match\n"
+
+    @pytest.mark.parametrize("element, pair", [("0le", "(0le, 0le)"), ("ale", "none")])
+    def test_witness(self, capsys, element, pair):
+        code, out, _ = run(capsys, ["witness", "--file", P12, "--element", element])
+        assert code == 0
+        assert out == f"{pair}\n"
+
+
+def test_file_with_a_name_subset_cannot_address(capsys, tmp_path):
+    # "z,0" would be split by --subset and " a" stripped to "a"
+    path = tmp_path / "names.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": "ordered_semigroup",
+                "order": 2,
+                "table": [[0, 0], [0, 0]],
+                "leq": [[0, 1]],
+                "names": ["z,0", " a"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    for argv in (
+        ["classify", "--file", str(path), "--subset", "z,0"],
+        ["verify", "theorem1", "--file", str(path)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "field 'names'[0] must not contain a comma" in err
 
 
 class TestVerifyFileGolden:

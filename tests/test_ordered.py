@@ -1,7 +1,10 @@
 """Set-level operations: closure, products, ideal classification, generators
 with their brute-force oracle, intra-regularity and the triple conditions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posemi import (
     ConditionWitness,
@@ -24,7 +27,18 @@ from posemi import (
 from posemi import ordered
 from posemi.enumeration import EnumerationConfig, enumerate_ordered_semigroups
 
-from conftest import _ordered_universe, condition_scan, make_one, make_z2, truths
+from conftest import (
+    _ordered_universe,
+    condition_scan,
+    direct_product,
+    make_l3meet,
+    make_l3null,
+    make_n2,
+    make_one,
+    make_s2l,
+    make_z2,
+    truths,
+)
 
 FULL2 = 0b11
 
@@ -35,6 +49,32 @@ def all_masks(s):
 
 def nonempty_masks(s):
     return range(1, s.full + 1)
+
+
+def closure_by_elements(s, mask):
+    """Oracle for downward_closure: the union of (i] over the elements i."""
+    out = 0
+    for i in subset_indices(mask):
+        out |= s.below[i]
+    return out
+
+
+def product_by_elements(s, a_mask, b_mask):
+    """Oracle for set_product: a*b for every cell (a, b) of A x B."""
+    out = 0
+    bs = subset_indices(b_mask)
+    for i in subset_indices(a_mask):
+        for j in bs:
+            out |= 1 << s.table[i][j]
+    return out
+
+
+def left_zero_band(n):
+    """x*y = x on n elements, ordered by divisibility of i + 1: every order
+    is compatible with a left-zero band, and every left-zero band is
+    intra-regular (a = a*a^2*a)."""
+    leq = [[(j + 1) % (i + 1) == 0 for j in range(n)] for i in range(n)]
+    return OrderedSemigroup([[i] * n for i in range(n)], leq)
 
 
 def in_sa2s(s, a):
@@ -105,6 +145,87 @@ class TestSetProduct:
     def test_empty_factor(self, n2):
         assert set_product(n2, 0b11, 0) == 0
         assert set_product(n2, 0, 0b11) == 0
+
+
+# factors of the direct products on 8 to 12 elements
+FACTORS = {2: (make_n2, make_s2l, make_z2), 3: (make_l3null, make_l3meet)}
+SHAPES = ((2, 2, 2), (3, 3), (2, 2, 3), (2, 3, 2))
+
+
+class TestChunkTables:
+    """downward_closure and set_product read the chunk tables of
+    `ordered._chunked`; the element loops above are their oracles."""
+
+    def test_every_mask_pair_of_order_three(self, ordered_universe_3):
+        for s in ordered_universe_3:
+            for a in all_masks(s):
+                assert downward_closure(s, a) == closure_by_elements(s, a)
+                for b in all_masks(s):
+                    assert set_product(s, a, b) == product_by_elements(s, a, b)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_direct_products_of_eight_to_twelve(self, data):
+        shape = data.draw(st.sampled_from(SHAPES))
+        s = direct_product(*(data.draw(st.sampled_from(FACTORS[k]))() for k in shape))
+        assert 8 <= s.n <= 12
+        masks = st.integers(0, s.full)
+        for _ in range(20):
+            a, b = data.draw(masks), data.draw(masks)
+            assert downward_closure(s, a) == closure_by_elements(s, a)
+            assert set_product(s, a, b) == product_by_elements(s, a, b)
+
+    @pytest.mark.parametrize("n", [13, 24])
+    def test_left_zero_bands_past_the_cap(self, n):
+        s = left_zero_band(n)
+        rng = random.Random(n)
+        for _ in range(300):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            assert downward_closure(s, a) == closure_by_elements(s, a)
+            assert set_product(s, a, b) == product_by_elements(s, a, b)
+        for m in (0, s.full):
+            assert downward_closure(s, m) == closure_by_elements(s, m)
+            assert set_product(s, m, s.full) == product_by_elements(s, m, s.full)
+
+    def test_condition_holds_on_twenty_four_elements(self):
+        # no ideal family is built past the cap; by Theorem 1 both conditions
+        # hold on an intra-regular structure
+        s = left_zero_band(24)
+        assert is_intra_regular(s)
+        assert condition_holds(s, "bi") is True
+        assert condition_holds(s, "quasi") is True
+
+    def test_one_build_serves_every_caller(self, monkeypatch):
+        # families, generators, the oracle and the conditions share the
+        # tables of the first call
+        builds = []
+        chunked = ordered._chunked
+
+        def counted(s):
+            builds.append(s)
+            return chunked(s)
+
+        monkeypatch.setattr(ordered, "_chunked", counted)
+        s = make_l3meet()
+        downward_closure(s, 0b10)
+        set_product(s, 0b10, 0b11)
+        for kind in ("quasi", "left", "right", "bi"):
+            ideal_masks(s, kind)
+            gen_ideal(s, 0b10, kind)
+            least_ideal_oracle(s, 0b10, kind)
+            classify_subset(s, 0b11)
+        for kind in ("bi", "quasi"):
+            condition_holds(s, kind)
+        assert builds == [s]
+
+    def test_tables_grow_linearly(self):
+        # ceil(n / 6) tables of 2 ** 6 entries each, whatever the table
+        for n, chunks in ((5, 1), (6, 1), (7, 2), (12, 2), (13, 3), (24, 4)):
+            tables = ordered._chunked(left_zero_band(n))
+            columns, rows, _ = tables["products"]
+            for t in (tables["below"], columns, rows):
+                assert len(t) == chunks
+                assert sum(map(len, t)) <= chunks * 64
 
 
 class TestClassify:

@@ -184,6 +184,27 @@ class TestRejection:
         with pytest.raises(StructureFileError, match="names"):
             load(path)
 
+    @pytest.mark.parametrize("name", ["", "z,0", " a", "a ", "\ta", "a\n"])
+    def test_name_that_subset_cannot_address(self, tmp_path, name):
+        # --subset splits at commas and strips each token
+        path = write_json(
+            tmp_path,
+            {
+                "kind": "ordered_semigroup",
+                "order": 2,
+                "table": [[0, 0], [0, 0]],
+                "leq": [],
+                "names": ["x", name],
+            },
+        )
+        with pytest.raises(StructureFileError, match=r"field 'names'\[1\]"):
+            load(path)
+
+    def test_inner_whitespace_is_a_name(self, tmp_path):
+        path = tmp_path / "s.json"
+        save(make_n2(), path, names=["zero", "a b"])
+        assert load(path).names == ("zero", "a b")
+
     def test_incompatible_order_listed(self, tmp_path):
         path = write_json(
             tmp_path,
@@ -215,9 +236,26 @@ class TestPayloadHelpers:
         with pytest.raises(ValueError):
             to_payload(n2, names=["only-one"])
 
+    def test_names_must_be_distinct_strings(self, n2):
+        with pytest.raises(ValueError, match="repeat"):
+            to_payload(n2, names=["x", "x"])
+        with pytest.raises(ValueError, match="string"):
+            to_payload(n2, names=[0, 1])
+
     def test_unserializable_type(self):
         with pytest.raises(TypeError):
             to_payload(object())
+
+
+@pytest.mark.parametrize("name", ["", "z,0", " a", "a ", "\ta"])
+def test_save_refuses_a_name_that_subset_cannot_address(tmp_path, name):
+    n2 = make_n2()
+    with pytest.raises(ValueError, match="element name"):
+        to_payload(n2, names=["x", name])
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError, match="element name"):
+        save(n2, path, names=["x", name])
+    assert not path.exists()
 
 
 def _dumped(structure):
