@@ -10,6 +10,10 @@ use (`_chunked`): a closure is one lookup per chunk of the mask, and a
 product one lookup per chunk of each factor and ceil(log2 n) shifts.  Each
 table holds ceil(n / 6) * 64 entries (of n * n bits for the products), so
 their number grows linearly with n and they serve every carrier size.
+The ideal families (`ideal_masks`, up to SUBSET_ENUM_CAP elements) are
+evaluated on all 2^n subsets at once: each is an int of 2^n bits, bit m set
+iff mask m is in the family, made of n big-int operations per kind
+(`_families`).
 
 An ideal of any kind here is a nonempty, downward-closed subset satisfying
 the kind's multiplicative condition:
@@ -291,48 +295,88 @@ def _chunked(s):
     }
 
 
+# bytes.translate table from the digits of bin() to the 0/1 selectors of
+# itertools.compress
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def _columns(n):
+    """The column indicators of the n-element carrier: ints of 2^n bits,
+    bit m of the u-th set iff mask m has bit u.  That is the upper half of
+    every period of 2^(u+1) bits: the half-block times a repunit."""
+    size = 1 << n
+    out = []
+    for u in range(n):
+        half = 1 << u
+        block = ((1 << half) - 1) << half
+        out.append(block * (((1 << size) - 1) // ((1 << 2 * half) - 1)))
+    return tuple(out)
+
+
+def _decode(indicator):
+    """The masks m whose bit is set in indicator, ascending: bin() and a
+    bytes translation hand the bits to itertools.compress."""
+    selectors = bin(indicator)[:1:-1].encode().translate(_BIT_SELECTORS)
+    return tuple(compress(range(indicator.bit_length()), selectors))
+
+
 def _families(s):
-    """The right, left, quasi- and bi-ideals, each one filter over all 2^n
-    subsets.
+    """The right, left, quasi- and bi-ideals, each found on all 2^n subsets
+    at once as an indicator int of 2^n bits, bit m set iff mask m is in it.
 
     With the principal ideals R(t) = (t u tS] and L(t) = (t u St], and
     unions over t in X, a nonempty X is a right ideal iff U R(t) <= X, a
     left ideal iff U L(t) <= X, and a quasi-ideal iff
     (U R(t)) n (U L(t)) <= X, since
-    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  The three share the
-    two union tables.  R(t) and L(t) come from the rows of the table,
-    `set_product` and `downward_closure`, not from the generators the
-    families are the oracle for.
+    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  R(t) and L(t) come
+    from the rows of the table, `set_product` and `downward_closure`, not
+    from the generators the families are the oracle for.  Closure and
+    products distribute over union, so a nonempty X is a bi-ideal iff the
+    union of (i] u iSj u jSi over i, j in X lies in X; iSj is read from the
+    table.
 
-    Closure and products distribute over union, so a nonempty X is a
-    bi-ideal iff (X] u XSX <= X, and (X] u XSX is the union of
-    (i] u iSj u jSi over i, j in X.  That union table is built element by
-    element from the pair images of the elements before it, once the
-    one-sided tables are dropped, so a build holds at most two tables over
-    all 2^n subsets.  iS is the set of entries in row i.  The flags agree
-    with `classify_subset`.
+    Over the column indicators B[u] of `_columns`, reach[u] is the
+    indicator of the masks whose union holds u: the OR of B[t] over the t
+    with u in R(t) (right) or L(t) (left), the AND of those two (quasi),
+    and the OR of B[i] over the i >= u and of B[i] & B[j] over the i, j
+    with u in iSj (bi).  A mask is out exactly when some reach[u] & ~B[u]
+    holds it, so each family is n big-int operations; mask 0 is cleared.
+    The flags agree with `classify_subset`.
     """
-    n, full, below = s.n, s.full, s.below
-    masks = range(1, full + 1)
-    i_s = [subset_mask(row, n) for row in s.table]
-    right = _union_tables([downward_closure(s, 1 << t | i_s[t]) for t in range(n)])
-    left = _union_tables(
-        [downward_closure(s, 1 << t | set_product(s, full, 1 << t)) for t in range(n)]
-    )
-    out = {
-        "left": tuple(m for m in masks if not left[m] & ~m),
-        "right": tuple(m for m in masks if not right[m] & ~m),
-        "quasi": tuple(m for m in masks if not right[m] & left[m] & ~m),
+    n, full, table = s.n, s.full, s.table
+    cols = _columns(n)
+    rng = range(n)
+    nonempty = (1 << (1 << n)) - 2
+
+    def reach(images):
+        out = [0] * n
+        for col, img in zip(cols, images):
+            for u in subset_indices(img):
+                out[u] |= col
+        return out
+
+    def family(reached):
+        bad = 0
+        for col, r in zip(cols, reached):
+            bad |= r & ~col
+        return _decode(nonempty & ~bad)
+
+    right = reach([downward_closure(s, 1 << t | subset_mask(table[t], n)) for t in rng])
+    left = reach([downward_closure(s, 1 << t | set_product(s, full, 1 << t)) for t in rng])
+    bi = reach(s.below)
+    by_column = list(zip(*table))
+    for col, row in zip(cols, table):
+        # pairs[u]: the masks holding some j with u in iSj, for this row's i
+        values = set(row)
+        pairs = reach([sum({1 << c[v] for v in values}) for c in by_column])
+        bi = [b | col & p for b, p in zip(bi, pairs)]
+    return {
+        "left": family(left),
+        "right": family(right),
+        "quasi": family(map(int.__and__, right, left)),
+        "bi": family(bi),
     }
-    del right, left
-    isj = [[set_product(s, a, 1 << j) for j in range(n)] for a in i_s]
-    table = [0]
-    for i in range(n):
-        reach = _union_tables([isj[i][j] | isj[j][i] for j in range(i)])
-        own = below[i] | isj[i][i]
-        table += [v | r | own for v, r in zip(table, reach)]
-    out["bi"] = tuple(m for m in masks if not table[m] & ~m)
-    return out
 
 
 def ideal_masks(s, kind):

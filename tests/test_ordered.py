@@ -444,7 +444,7 @@ class TestIdealHierarchy:
 
     def test_ideal_masks_match_classify_subset(self, ordered_universe_4):
         # the raw order-3 universe holds every labeling of each class, so the
-        # union tables, indexed by bit position, meet each class under all of them
+        # indicators, indexed by bit position, meet each class under all of them
         for s in [*ordered_universe_4, *_ordered_universe(3, dedup="none")]:
             flags = [classify_subset(s, m) for m in nonempty_masks(s)]
             for kind in ("left", "right", "quasi", "bi"):
@@ -457,6 +457,35 @@ class TestIdealHierarchy:
         masks = ideal_masks(n2, "quasi")
         assert list(masks) == sorted(masks)
         assert ideal_masks(n2, "quasi") is masks
+
+
+class TestFamilyIndicators:
+    """The helpers of `ordered._families`: indicator ints of 2^n bits, bit m
+    standing for mask m."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_columns(self, n):
+        cols = ordered._columns(n)
+        assert len(cols) == n
+        for u, col in enumerate(cols):
+            assert col >> (1 << n) == 0
+            assert [col >> m & 1 for m in range(1 << n)] == [
+                m >> u & 1 for m in range(1 << n)
+            ]
+        assert ordered._columns(n) is cols
+
+    def test_decode(self):
+        assert ordered._decode(0) == ()
+        assert ordered._decode(1) == (0,)
+        assert ordered._decode(0b1011_0010) == (1, 4, 5, 7)
+        rng = random.Random(12)
+        for n in (1, 6, 7, 12):
+            top = (1 << n) - 1
+            ind = rng.getrandbits(1 << n) | 1 << top
+            masks = ordered._decode(ind)
+            assert masks == tuple(m for m in range(1 << n) if ind >> m & 1)
+            assert list(masks) == sorted(set(masks))
+            assert masks[-1] == top
 
 
 class TestGeneratorSoundness:

@@ -13,6 +13,7 @@ are held to `classify_subset` on every subset of the direct products.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posemi import (
     OrderedSemigroup,
@@ -37,6 +38,7 @@ from conftest import (
     _le_universe,
     _ordered_universe,
     condition_scan,
+    direct_product,
     make_l3null,
     make_n2,
 )
@@ -47,22 +49,6 @@ KINDS = ("bi", "quasi")
 def assert_ordered_agree(s):
     for kind in KINDS:
         assert condition_holds(s, kind) == condition_scan(s, kind), (s.table, kind)
-
-
-def direct_product(factors):
-    """Componentwise product of OrderedSemigroups, elements in lexicographic
-    order of their coordinate tuples."""
-    elems = list(itertools.product(*(range(f.n) for f in factors)))
-    index = {e: i for i, e in enumerate(elems)}
-    table = [
-        [index[tuple(f.table[x][y] for f, x, y in zip(factors, a, b))] for b in elems]
-        for a in elems
-    ]
-    leq = [
-        [all(f.leq[x][y] for f, x, y in zip(factors, a, b)) for b in elems]
-        for a in elems
-    ]
-    return OrderedSemigroup(table, leq)
 
 
 def test_ordered_iso_order_4(ordered_universe_4):
@@ -157,11 +143,11 @@ def products():
     ir2, non2 = _factors(2)
     ir3, non3 = _factors(3)
     return [
-        direct_product([ir2[0], ir2[-1], ir2[len(ir2) // 2]]),
-        direct_product([ir2[-1], non2[0], ir2[1]]),
-        direct_product([ir3[len(ir3) // 3], ir3[-1]]),
-        direct_product([ir3[0], non3[-1]]),
-        direct_product([non3[len(non3) // 2], ir3[len(ir3) // 2]]),
+        direct_product(ir2[0], ir2[-1], ir2[len(ir2) // 2]),
+        direct_product(ir2[-1], non2[0], ir2[1]),
+        direct_product(ir3[len(ir3) // 3], ir3[-1]),
+        direct_product(ir3[0], non3[-1]),
+        direct_product(non3[len(non3) // 2], ir3[len(ir3) // 2]),
     ]
 
 
@@ -179,10 +165,10 @@ def test_direct_products(products):
 
 @pytest.fixture(scope="module")
 def twelve():
-    # the largest carrier the families take: 4096-entry union tables
+    # the largest carrier the families take: indicators of 4096 bits
     ir2, non2 = _factors(2)
     ir3, _ = _factors(3)
-    s = direct_product([ir2[0], non2[-1], ir3[-1]])
+    s = direct_product(ir2[0], non2[-1], ir3[-1])
     assert s.n == 12
     return s
 
@@ -200,6 +186,47 @@ def test_families_match_classify_subset(products, twelve):
                 m for m, f in zip(range(1, s.full + 1), flags) if getattr(f, kind)
             )
             assert ideal_masks(s, kind) == expected, kind
+
+
+def family_flags(s):
+    """ideal_masks of every kind against classify_subset on every mask."""
+    flags = [classify_subset(s, m) for m in range(1, s.full + 1)]
+    for kind in ("left", "right", "quasi", "bi"):
+        expected = tuple(
+            m for m, f in zip(range(1, s.full + 1), flags) if getattr(f, kind)
+        )
+        assert ideal_masks(s, kind) == expected, (s.table, s.leq, kind)
+        # the carrier is an ideal of every kind: the top bit of the indicator
+        assert expected[-1] == s.full
+
+
+@pytest.fixture(scope="module")
+def factors_by_order():
+    return {n: [s for s in _ordered_universe(n) if s.n == n] for n in (2, 3)}
+
+
+# carriers of 4 to 12 elements: both sides of the 6-element chunks of the
+# closure and product tables, and the 12-element cap
+SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_families_of_drawn_products(factors_by_order, data):
+    shape = data.draw(st.sampled_from(SHAPES))
+    s = direct_product(*(data.draw(st.sampled_from(factors_by_order[k])) for k in shape))
+    assert 4 <= s.n <= 12
+    family_flags(s)
+
+
+def test_families_need_no_generator(monkeypatch, twelve, n2):
+    # the families are the generators' oracle, so they are built without them
+    def refuse(s, mask, kind):
+        raise AssertionError("generator called")
+
+    monkeypatch.setattr(ordered, "gen_ideal", refuse)
+    for s in (twelve, n2):
+        family_flags(OrderedSemigroup(s.table, s.leq))
 
 
 def test_bad_kind_rejected():
