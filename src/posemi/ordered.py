@@ -4,16 +4,16 @@ Carrier elements are the indices 0..n-1.  Subsets of the carrier are plain
 int bitmasks (bit i set means element i is in the subset), so products,
 downward closures and inclusion tests reduce to a handful of integer
 operations and exhaustive scans over all 2^n subsets stay cheap at the
-carrier sizes this module targets.  `downward_closure` and `set_product`
-read union tables over chunks of 6 elements, built per structure on first
-use (`_chunked`): a closure is one lookup per chunk of the mask, and a
+carrier sizes this module targets.  A structure builds, when it is made,
+the union tables that `downward_closure` and `set_product` read, over
+chunks of 6 elements, and from them the principal ideals R(t) = (t u tS]
+and L(t) = (t u St].  A closure is one lookup per chunk of the mask, and a
 product one lookup per chunk of each factor and ceil(log2 n) shifts.  Each
 table holds ceil(n / 6) * 64 entries (of n * n bits for the products), so
 their number grows linearly with n and they serve every carrier size.
-The ideal families (`ideal_masks`, up to SUBSET_ENUM_CAP elements) are
-evaluated on all 2^n subsets at once: each is an int of 2^n bits, bit m set
-iff mask m is in the family, made of n big-int operations per kind
-(`_families`).
+The ideal families (`ideal_masks`, up to SUBSET_ENUM_CAP elements) wait for
+its first call: each is an int of 2^n bits, bit m set iff mask m is in the
+family, made from R and L by n big-int operations per kind (`_families`).
 
 An ideal of any kind here is a nonempty, downward-closed subset satisfying
 the kind's multiplicative condition:
@@ -50,9 +50,14 @@ class OrderedSemigroup:
     table[i][j] is the product i*j and leq[i][j] means i <= j.  Construction
     checks shapes and value ranges only; `validate` reports violations of the
     algebraic axioms (associativity, order axioms, two-sided compatibility).
+    It also builds the closure and product tables and the principal ideals
+    R(t), L(t); only the ideal families wait for `ideal_masks`.
     """
 
-    __slots__ = ("n", "table", "leq", "below", "full", "_ideals")
+    __slots__ = (
+        "n", "table", "leq", "below", "full",
+        "_closures", "_products", "_right", "_left", "_families",
+    )
 
     def __init__(self, table, leq):
         n = len(table)
@@ -69,7 +74,13 @@ class OrderedSemigroup:
         self.n = n
         self.full = (1 << n) - 1
         self.below = row_masks(zip(*self.leq))
-        self._ideals = {}
+        self._closures = down = _chunk_tables(self.below)
+        self._products = _product_tables(self.table)
+        ts = [sum({1 << v for v in row}) for row in self.table]
+        st = [sum({1 << v for v in col}) for col in zip(*self.table)]
+        self._right = tuple([_union(down, 1 << t | m) for t, m in enumerate(ts)])
+        self._left = tuple([_union(down, 1 << t | m) for t, m in enumerate(st)])
+        self._families = None
 
     def __eq__(self, other):
         return (
@@ -152,21 +163,18 @@ def validate(s):
 
 
 def downward_closure(s, mask):
-    """All elements lying below some element of the subset (`_chunked`)."""
+    """All elements lying below some element of the subset, read from the
+    closure tables built with the structure."""
     _check_mask(s, mask)
-    if "below" not in s._ideals:
-        s._ideals.update(_chunked(s))
-    return _union(s._ideals["below"], mask)
+    return _union(s._closures, mask)
 
 
 def set_product(s, a_mask, b_mask):
-    """Elementwise product {a*b : a in A, b in B}; empty if either side is
-    (`_chunked`)."""
+    """Elementwise product {a*b : a in A, b in B}; empty if either side is.
+    Read from the product tables built with the structure (`_product_tables`)."""
     _check_mask(s, a_mask)
     _check_mask(s, b_mask)
-    if "below" not in s._ideals:
-        s._ideals.update(_chunked(s))
-    columns, rows, folds = s._ideals["products"]
+    columns, rows, folds = s._products
     out = _union(columns, b_mask) & _union(rows, a_mask)
     for shift in folds:
         out |= out >> shift
@@ -267,32 +275,27 @@ def _union(tables, mask):
     return out
 
 
-def _chunked(s):
-    """The chunk tables of `downward_closure` and `set_product`, as the
-    entries "below" and "products" that those two keep in s._ideals, with
-    the ideal families; the first call of either builds both.
-
-    "below" is over the down-sets (i].  The product tables are over ints of
-    n fields of n bits, field i standing for row i: "columns" over the
-    columns j, with {i*j} in field i, so a lookup by B gives each row's
-    image iB at once, and "rows" over the full fields, so a lookup by A
-    keeps the fields of the rows in A.  The folds are the shifts that OR
-    the fields into field 0, halving the fields left each time.  Each kept
-    field lies in AB, so folding adds nothing outside it, and every field
-    reaches field 0.
+@lru_cache(maxsize=1)
+def _product_tables(table):
+    """The chunk tables of `set_product` for a multiplication table (nested
+    tuples, the cache key: enumerations give every order of a table in a
+    row), as (columns, rows, folds), over ints of n fields of n bits, field i
+    standing for row i: columns over the columns j, with {i*j} in field i,
+    so a lookup by B gives each row's image iB at once, and rows over the
+    full fields, so a lookup by A keeps the fields of the rows in A.  The
+    folds are the shifts that OR the fields into field 0, halving the
+    fields left each time.  Each kept field lies in AB, so folding adds
+    nothing outside it, and every field reaches field 0.
     """
-    n = s.n
-    columns = [sum(1 << v << i * n for i, v in enumerate(col)) for col in zip(*s.table)]
+    n = len(table)
+    columns = [sum(1 << v << i * n for i, v in enumerate(col)) for col in zip(*table)]
     folds = []
     k = n
     while k > 1:
         k = (k + 1) // 2
         folds.append(k * n)
-    rows = [s.full << i * n for i in range(n)]
-    return {
-        "below": _chunk_tables(s.below),
-        "products": (_chunk_tables(columns), _chunk_tables(rows), folds),
-    }
+    rows = [((1 << n) - 1) << i * n for i in range(n)]
+    return _chunk_tables(columns), _chunk_tables(rows), folds
 
 
 # bytes.translate table from the digits of bin() to the 0/1 selectors of
@@ -329,8 +332,8 @@ def _families(s):
     unions over t in X, a nonempty X is a right ideal iff U R(t) <= X, a
     left ideal iff U L(t) <= X, and a quasi-ideal iff
     (U R(t)) n (U L(t)) <= X, since
-    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  R(t) and L(t) come
-    from the rows of the table, `set_product` and `downward_closure`, not
+    (X] u ((XS] n (SX]) = ((X] u (XS]) n ((X] u (SX]).  R(t) and L(t) are
+    the structure's own, read from the table and the closure tables, not
     from the generators the families are the oracle for.  Closure and
     products distribute over union, so a nonempty X is a bi-ideal iff the
     union of (i] u iSj u jSi over i, j in X lies in X; iSj is read from the
@@ -344,9 +347,8 @@ def _families(s):
     holds it, so each family is n big-int operations; mask 0 is cleared.
     The flags agree with `classify_subset`.
     """
-    n, full, table = s.n, s.full, s.table
+    n, table = s.n, s.table
     cols = _columns(n)
-    rng = range(n)
     nonempty = (1 << (1 << n)) - 2
 
     def reach(images):
@@ -362,8 +364,8 @@ def _families(s):
             bad |= r & ~col
         return _decode(nonempty & ~bad)
 
-    right = reach([downward_closure(s, 1 << t | subset_mask(table[t], n)) for t in rng])
-    left = reach([downward_closure(s, 1 << t | set_product(s, full, 1 << t)) for t in rng])
+    right = reach(s._right)
+    left = reach(s._left)
     bi = reach(s.below)
     by_column = list(zip(*table))
     for col, row in zip(cols, table):
@@ -390,9 +392,9 @@ def ideal_masks(s, kind):
             f"carrier size {s.n} exceeds the subset enumeration cap"
             f" {SUBSET_ENUM_CAP}"
         )
-    if kind not in s._ideals:
-        s._ideals.update(_families(s))
-    return s._ideals[kind]
+    if s._families is None:
+        s._families = _families(s)
+    return s._families[kind]
 
 
 def least_ideal_oracle(s, x_mask, kind):
@@ -456,16 +458,10 @@ def _check_condition_kind(kind):
 
 def _principal_triples(s, kind):
     """[R(t)], [M(t)], [L(t)] over the elements t: the right, kind- and left
-    ideals generated by t.  R(t) and L(t) serve both kinds, so they are
-    built once per structure and kept with its ideal families."""
+    ideals generated by t.  R and L are the structure's, built when it is
+    made; M(t) comes from `gen_ideal`."""
     _check_condition_kind(kind)
-    rng = range(s.n)
-    if "principal" not in s._ideals:
-        s._ideals["principal"] = tuple(
-            [gen_ideal(s, 1 << t, k) for t in rng] for k in ("right", "left")
-        )
-    right, left = s._ideals["principal"]
-    return right, [gen_ideal(s, 1 << t, kind) for t in rng], left
+    return s._right, [gen_ideal(s, 1 << t, kind) for t in range(s.n)], s._left
 
 
 def _outside(s, t, y, m, x):

@@ -119,6 +119,19 @@ def _name_fault(name):
     return None
 
 
+def _names_fault(names, n):
+    """The first reason names cannot label a carrier of n elements, or None:
+    a count other than n, a name `_name_fault` refuses, then a repeat."""
+    if not isinstance(names, (list, tuple)) or len(names) != n:
+        return "field 'names' must list one string per element"
+    for idx, name in enumerate(names):
+        if fault := _name_fault(name):
+            return f"field 'names'[{idx}] {fault}: {name!r}"
+    if len(set(names)) != n:
+        return "field 'names' must not repeat labels"
+    return None
+
+
 def from_payload(obj):
     """Build and validate a structure from a parsed JSON object."""
     if not isinstance(obj, dict):
@@ -132,19 +145,9 @@ def from_payload(obj):
     table = _int_matrix(_expect(obj, "table", list, kind), n, "table")
     names = None
     if "names" in obj:
-        raw = obj["names"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != n
-            or any(not isinstance(x, str) for x in raw)
-        ):
-            raise StructureFileError("field 'names' must list one string per element")
-        if len(set(raw)) != n:
-            raise StructureFileError("field 'names' must not repeat labels")
-        for idx, name in enumerate(raw):
-            if fault := _name_fault(name):
-                raise StructureFileError(f"field 'names'[{idx}] {fault}: {name!r}")
-        names = tuple(raw)
+        if fault := _names_fault(obj["names"], n):
+            raise StructureFileError(fault)
+        names = tuple(obj["names"])
 
     if kind == "le_semigroup":
         join = _int_matrix(_expect(obj, "join", list, kind), n, "join")
@@ -202,13 +205,8 @@ def to_payload(structure, names=None):
     else:
         raise TypeError(f"cannot serialize {type(structure).__name__}")
     if names is not None:
-        if len(names) != structure.n:
-            raise ValueError("names must list one label per element")
-        for name in names:
-            if fault := _name_fault(name):
-                raise ValueError(f"element name {name!r} {fault}")
-        if len(set(names)) != structure.n:
-            raise ValueError("names must not repeat labels")
+        if fault := _names_fault(names, structure.n):
+            raise ValueError(f"element names: {fault}")
         payload["names"] = list(names)
     return payload
 

@@ -874,6 +874,15 @@ class TestEnumerateCommand:
 
 
 class TestErrorPaths:
+    def test_interrupt_is_one_line(self, capsys, monkeypatch):
+        # Ctrl-C ends a run with one stderr line and status 128 + SIGINT
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_campaign", interrupted)
+        argv = ["verify", "theorem1", "--max-order", "6", "--dedup", "iso"]
+        assert run(capsys, argv) == (130, "", "error: interrupted\n")
+
     def test_missing_file(self, capsys):
         code, out, err = run(
             capsys, ["classify", "--file", "no-such.json", "--subset", "0"]

@@ -35,6 +35,7 @@ from conftest import (
     make_l3null,
     make_n2,
     make_one,
+    make_p12,
     make_s2l,
     make_z2,
     truths,
@@ -153,8 +154,8 @@ SHAPES = ((2, 2, 2), (3, 3), (2, 2, 3), (2, 3, 2))
 
 
 class TestChunkTables:
-    """downward_closure and set_product read the chunk tables of
-    `ordered._chunked`; the element loops above are their oracles."""
+    """downward_closure and set_product read the chunk tables a structure
+    builds when it is made; the element loops above are their oracles."""
 
     def test_every_mask_pair_of_order_three(self, ordered_universe_3):
         for s in ordered_universe_3:
@@ -196,34 +197,38 @@ class TestChunkTables:
         assert condition_holds(s, "quasi") is True
 
     def test_one_build_serves_every_caller(self, monkeypatch):
-        # families, generators, the oracle and the conditions share the
-        # tables of the first call
-        builds = []
-        chunked = ordered._chunked
-
-        def counted(s):
-            builds.append(s)
-            return chunked(s)
-
-        monkeypatch.setattr(ordered, "_chunked", counted)
+        # the tables, R and L are built with the structure: families,
+        # generators, the oracle and the conditions rebuild none of them
         s = make_l3meet()
-        downward_closure(s, 0b10)
-        set_product(s, 0b10, 0b11)
+
+        def refuse(*args):
+            raise AssertionError("tables rebuilt")
+
+        monkeypatch.setattr(ordered, "_chunk_tables", refuse)
+        monkeypatch.setattr(ordered, "_product_tables", refuse)
+        assert downward_closure(s, 0b10) == closure_by_elements(s, 0b10)
+        assert set_product(s, 0b10, 0b11) == product_by_elements(s, 0b10, 0b11)
         for kind in ("quasi", "left", "right", "bi"):
-            ideal_masks(s, kind)
-            gen_ideal(s, 0b10, kind)
-            least_ideal_oracle(s, 0b10, kind)
-            classify_subset(s, 0b11)
+            flag = getattr(classify_subset(s, 0b11), kind)
+            assert flag == (0b11 in ideal_masks(s, kind))
+            assert gen_ideal(s, 0b10, kind) == least_ideal_oracle(s, 0b10, kind)
         for kind in ("bi", "quasi"):
-            condition_holds(s, kind)
-        assert builds == [s]
+            assert condition_holds(s, kind) == condition_scan(s, kind)
+
+    def test_principal_ideals_are_the_generated_ones(self, ordered_universe_3):
+        # R(t) and L(t), built with the structure, are the right and left
+        # ideals gen_ideal generates from t
+        for s in [*ordered_universe_3, make_p12(), left_zero_band(24)]:
+            ones = [1 << t for t in range(s.n)]
+            assert list(s._right) == [gen_ideal(s, b, "right") for b in ones]
+            assert list(s._left) == [gen_ideal(s, b, "left") for b in ones]
 
     def test_tables_grow_linearly(self):
         # ceil(n / 6) tables of 2 ** 6 entries each, whatever the table
         for n, chunks in ((5, 1), (6, 1), (7, 2), (12, 2), (13, 3), (24, 4)):
-            tables = ordered._chunked(left_zero_band(n))
-            columns, rows, _ = tables["products"]
-            for t in (tables["below"], columns, rows):
+            s = left_zero_band(n)
+            columns, rows, _ = s._products
+            for t in (s._closures, columns, rows):
                 assert len(t) == chunks
                 assert sum(map(len, t)) <= chunks * 64
 
