@@ -13,10 +13,12 @@ is a row-major list of cells, and a structure is a list of (cells, values)
 parts.  One builder (`relabel`), one comparison that stops at the first
 differing cell (`cmp_relabeled`) and one least-search (`least_relabeling`)
 serve the canonical forms; the enumeration's lex-leader searches take the
-pairs directly.  `is_least` is the tests' canonicity oracle for those
-searches.  The least-search also keys the enumeration's lattice classes:
-two labeled lattices are isomorphic exactly when their joins have the same
-least relabeling.
+pairs directly.  Tables kept as nested tuples, as the raw le stream keeps
+them, are relabeled a row at a time instead (`table_relabeling`).
+`is_least` is the tests' canonicity oracle for those searches.  The
+least-search also keys the enumeration's lattice classes: two labeled
+lattices are isomorphic exactly when their joins have the same least
+relabeling.
 
 The table is always compared first, so canonical forms find the least
 relabeled table and the relabelings that reach it once per table, and
@@ -35,6 +37,7 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
+from operator import itemgetter
 
 DEDUP_CAP = 6
 
@@ -71,6 +74,34 @@ def relabel(cells, perm, src, values=True):
     elements."""
     vmap = perm if values else _TRUTH
     return [vmap[cells[k]] for k in src]
+
+
+class _Rows(dict):
+    """Relabeled rows, keyed by the row: a missing row x is built once, as
+    tuple(perm[x[c]] for c in inv) with pick = itemgetter(*inv)."""
+
+    __slots__ = ("perm", "pick")
+
+    def __missing__(self, row):
+        out = self[row] = tuple(map(self.perm.__getitem__, self.pick(row)))
+        return out
+
+
+def table_relabeling(perm):
+    """The relabeling by perm of n x n tables given as nested tuples, as a
+    function that returns nested tuples: row r of the result is row inv[r] of
+    the table, its cells picked in the order inv and mapped through perm,
+    where inv is the inverse of perm.  It equals `relabel` of the row-major
+    cells, cut into rows.  Each distinct row is built once and kept, so the
+    many tables one perm relabels share the rows they have in common."""
+    n = len(perm)
+    if n == 1:  # itemgetter(0) would give a row, not a tuple of rows
+        return lambda table: table  # the one relabeling, the identity
+    rows = _Rows()
+    rows.perm = perm
+    rows.pick = pick = itemgetter(*sorted(range(n), key=perm.__getitem__))
+    get = rows.__getitem__
+    return lambda table: tuple(map(get, pick(table)))
 
 
 def cmp_relabeled(parts, perm, src, refs):

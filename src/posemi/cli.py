@@ -155,13 +155,28 @@ def _tuples(kind, orders, dedup):
 
 
 def _id_rule(scope, iso):
-    """The scope's id function, of (table, leq) or of an le source: on an
-    iso stream every structure is its own canonical form, so the bare
-    digest is its id.  A raw le stream repeats its sources, so theorem2's
-    raw rule is a fresh memo per call, one canonical form per source."""
+    """The scope's id function, of (table, leq) or of an le source, the
+    (table, join, meet) tuple itself: on an iso stream every structure is
+    its own canonical form, so the bare digest is its id.  A raw le stream
+    hands every structure relabeled from one source the same source object,
+    so theorem2's raw rule is a fresh memo per call keyed by the source's
+    identity, one canonical form per source object; it keeps each source
+    alive, so no later object takes its id()."""
     if scope != "theorem2":
         return canon.ordered_digest if iso else canon.ordered_structure_id
-    return canon.le_digest if iso else lru_cache(maxsize=None)(canon.le_structure_id)
+    if iso:
+        return lambda source: canon.le_digest(*source)
+    ids = {}
+    kept = []
+
+    def source_id(source):
+        sid = ids.get(id(source))
+        if sid is None:
+            kept.append(source)
+            sid = ids[id(source)] = canon.le_structure_id(*source)
+        return sid
+
+    return source_id
 
 
 @lru_cache(maxsize=None)  # 24 (flags, ok) at most, over the three scopes
@@ -186,7 +201,7 @@ def _answers(scope, items, sid):
             item_id = sid(*item)
             answer = flags = ordered.theorem1_flags(*item)
         elif scope == "theorem2":
-            item_id = sid(*item[1])
+            item_id = sid(item[1])
             answer = flags = le.theorem2_flags(*item[0])
         else:
             item_id, answer = sid(*item[:2]), le.remark_flags(*item)
@@ -256,8 +271,9 @@ def cmd_verify(args):
     start, step = args.shard or (0, 1)
     checked = 0
     failed = []
+    write = sys.stdout.write
     for line, ok, _ in _campaign(scope, args.max_order, args.dedup, start, step):
-        print(line)
+        write(line + "\n")
         checked += 1
         if not ok:
             failed.append(line.split("\t", 1)[0])
@@ -321,10 +337,10 @@ def cmd_enumerate(args):
     start, step = args.shard or (0, 1)
     items = islice(_tuples(args.kind, [args.order], args.dedup), start, None, step)
     items = islice(items, args.limit)
-    # each item becomes its record and the parts of its id, written from its
-    # tuple: an le structure is named by its source
+    # each item becomes its record and the arguments of its id, written from
+    # its tuple: an le structure is named by its source
     if args.kind == "le":
-        records = ((storage.le_record(*s), src) for s, src in items)
+        records = ((storage.le_record(*s), (src,)) for s, src in items)
     else:
         records = ((storage.ordered_record(*pair), pair) for pair in items)
     if args.out is None:

@@ -87,38 +87,38 @@ def _fill(n, hook=None, perms=()):
     keep only the tables that no perm relabels to a row-major smaller table
     (lex-leader pruning).  A perm compares its relabeled table with the
     table cell by cell; at cell f it reads cells f and src[f], so it waits
-    on the later of the two, max(f, src[f]).  Each live perm sits in the
+    on the later of the two, max(f, src[f]): its wait cells, one per f,
+    worked out once per perm before the search.  Each live perm sits in the
     watch list of the cell it waits on, and setting cell k resumes the perms
-    of list k alone: each compares on until it waits on an unset cell and
-    moves to that cell's list, and a smaller relabeled cell prunes the
-    subtree, a larger one drops the perm for the subtree.  Backtracking
-    undoes the moves.  List n * n holds the perms that compared equal on
-    every cell: at a leaf, the table's automorphisms among perms, yielded in
-    the order of perms.  Without perms no list is kept.
+    of list k alone, when it holds any: each compares on until it waits on
+    an unset cell and moves to that cell's list, and a smaller relabeled
+    cell prunes the subtree, a larger one drops the perm for the subtree.
+    Backtracking undoes the moves.  List n * n holds the perms that compared
+    equal on every cell: at a leaf, the table's automorphisms among perms,
+    yielded in the order of perms.  Without perms no list is kept.
     """
     rng = range(n)
     size = n * n
     table = [[-1] * n for _ in rng]
     cells = [-1] * size  # table in row-major order, for the comparisons
     preimage = [[] for _ in rng]  # preimage[v]: set cells (a, b) with ab = v
-    # watch[w]: (f, perm, src) whose relabeled cell f, perm[cells[src[f]]],
-    # is next compared, once cell w = max(f, src[f]) is set
+    # watch[w]: (f, perm, src, waits) whose relabeled cell f,
+    # perm[cells[src[f]]], is next compared, once cell w = waits[f] =
+    # max(f, src[f]) is set; waits[size] = size, past every cell
     watch = [[] for _ in range(size + 1)] if perms else None
     for perm, src in perms:
-        watch[src[0]].append((0, perm, src))
+        waits = (*map(max, range(size), src), size)
+        watch[waits[0]].append((0, perm, src, waits))
 
     def resume(k):
         """Move the perms of watch[k] on once cell k is set; the lists they
         moved to, or None, with nothing moved, when one of them relabels the
         table to a smaller one."""
         moved = []
-        for f, perm, src in watch[k]:
-            while f < size:
-                s = src[f]
-                w = s if s > f else f
-                if w > k:
-                    break  # waits on cell w
-                x = perm[cells[s]]
+        for f, perm, src, waits in watch[k]:
+            w = waits[f]
+            while w <= k:  # else it waits on cell w, or is equal on every cell
+                x = perm[cells[src[f]]]
                 y = cells[f]
                 if x != y:
                     if x < y:
@@ -128,18 +128,17 @@ def _fill(n, hook=None, perms=()):
                     w = -1  # larger: dropped
                     break
                 f += 1
-            else:
-                w = size  # equal on every cell
+                w = waits[f]
             if w >= 0:
                 out = watch[w]
-                out.append((f, perm, src))
+                out.append((f, perm, src, waits))
                 moved.append(out)
         return moved
 
     def fill(k):
         if k == size:
             # sorted by perm: the order of canon.relabelings
-            auts = sorted(e[1:] for e in watch[size]) if watch else []
+            auts = sorted(e[1:3] for e in watch[size]) if watch else []
             yield tuple(tuple(row) for row in table), auts
             return
         i, j = divmod(k, n)
@@ -183,7 +182,7 @@ def _fill(n, hook=None, perms=()):
                             break
                 else:
                     if hook is None or hook(table, i, j):
-                        moved = resume(k) if watch else ()
+                        moved = resume(k) if watch and watch[k] else ()
                         if moved is not None:
                             preimage[v].append((i, j))
                             yield from fill(k + 1)
@@ -448,26 +447,28 @@ def le_sources(cfg):
     labeled lattice J0.  A lattice's class is keyed by its canonical join,
     the least relabeling of the join's cells (canon.least_relabeling): the
     join fixes the order, meet and top, so two labeled lattices are
-    isomorphic exactly when their keys are equal.  The raw search stores
-    J0's tables, each its own source, and every labeled lattice of the
-    class, J0 included, takes them relabeled by the first (perm, src) of
-    canon.relabelings that relabels J0's join onto its own (for J0 the
-    identity), sorted into the search's row-major order.  Two structures on
-    J0 are isomorphic exactly when an automorphism of J0 relabels one onto
-    the other, so the iso search breaks symmetry by Aut(J0) alone and keeps
-    one table per isomorphism class.  Each is canonicalized, and the
-    canonical forms on a labeled lattice come out, sorted by table and each
-    its own source, when that lattice does.
+    isomorphic exactly when their keys are equal.  The raw search keeps
+    J0's tables as nested tuples, each in one source object that every
+    structure relabeled from it shares.  Every labeled lattice of the class,
+    J0 included, takes them relabeled a row at a time
+    (canon.table_relabeling) by the first perm of canon.relabelings that
+    relabels J0's join onto its own (for J0 the identity); nested tuples
+    of equal-length rows sort in row-major order, the search's.  Two
+    structures on J0 are isomorphic exactly when an automorphism of J0
+    relabels one onto the other, so the iso search breaks symmetry by
+    Aut(J0) alone and keeps one table per isomorphism class.  Each is
+    canonicalized, and the canonical forms on a labeled lattice come out,
+    sorted by table and each its own source, when that lattice does.
     """
     n = cfg.order
     perms = canon.relabelings(n)
     iso = cfg.dedup == "up_to_iso"
-    classes = {}  # canonical join -> (J0's join cells, [(table cells, source)])
+    classes = {}  # canonical join -> (J0's join cells, J0's sources)
     canonical = {}  # iso: join -> tables of the canonical forms on it
     for _, join, meet, top in all_lattices(n):
         cells = canon.row_major(join)
         (least,), _ = canon.least_relabeling(((cells, True),), perms)
-        first, structures = classes.setdefault(tuple(least), (cells, []))
+        first, sources = classes.setdefault(tuple(least), (cells, []))
         if first is cells:  # J0: search the class once
             hook = _join_distributive(join, n)
             if iso:
@@ -476,14 +477,13 @@ def le_sources(cfg):
                     t, j, _ = canon.canonical_le(table, join, meet)
                     canonical.setdefault(j, []).append(t)
             else:
-                for table, _ in _fill(n, hook):
-                    structures.append((canon.row_major(table), (table, join, meet)))
+                sources.extend((table, join, meet) for table, _ in _fill(n, hook))
         if not iso:
-            perm, src = next(p for p in perms if canon.relabel(first, *p) == cells)
-            moved = [(canon.relabel(c, perm, src), s) for c, s in structures]
+            perm = next(p for p, src in perms if canon.relabel(first, p, src) == cells)
+            relabel = canon.table_relabeling(perm)
+            moved = [(relabel(source[0]), source) for source in sources]
             moved.sort(key=itemgetter(0))
-            for c, source in moved:
-                table = tuple(zip(*[iter(c)] * n))  # the rows of n cells
+            for table, source in moved:
                 yield (table, join, meet, top), source
         for table in sorted(canonical.pop(join, ())):
             yield (table, join, meet, top), (table, join, meet)

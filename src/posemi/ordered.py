@@ -285,17 +285,26 @@ def _product_tables(table):
     full fields, so a lookup by A keeps the fields of the rows in A.  The
     folds are the shifts that OR the fields into field 0, halving the
     fields left each time.  Each kept field lies in AB, so folding adds
-    nothing outside it, and every field reaches field 0.
+    nothing outside it, and every field reaches field 0.  rows and folds
+    depend on n alone and come from `_row_tables(n)`, shared by every table
+    of n elements.
     """
     n = len(table)
     columns = [sum(1 << v << i * n for i, v in enumerate(col)) for col in zip(*table)]
+    return (_chunk_tables(columns), *_row_tables(n))
+
+
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def _row_tables(n):
+    """The rows chunk tables and the folds of `_product_tables` for n
+    elements."""
     folds = []
     k = n
     while k > 1:
         k = (k + 1) // 2
         folds.append(k * n)
     rows = [((1 << n) - 1) << i * n for i in range(n)]
-    return _chunk_tables(columns), _chunk_tables(rows), folds
+    return _chunk_tables(rows), folds
 
 
 # bytes.translate table from the digits of bin() to the 0/1 selectors of

@@ -13,11 +13,17 @@ from posemi.canon import (
     cmp_relabeled,
     le_digest,
     ordered_digest,
+    least_relabeling,
     relabel,
     relabelings,
+    row_major,
+    table_relabeling,
 )
 from posemi.enumeration import (
     EnumerationConfig,
+    _fill,
+    _join_distributive,
+    all_lattices,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     le_sources,
@@ -47,6 +53,31 @@ def _sign(x, y):
 
 def _flat(mat):
     return [v for row in mat for v in row]
+
+
+class TestTableRelabeling:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_row_relabeling_is_relabel(self, n):
+        # J0's tables relabeled a row at a time onto every labeled lattice of
+        # its class, by every relabeling that takes J0's join there, one
+        # table_relabeling per relabeling as the raw le stream uses them
+        perms = relabelings(n)
+        classes = {}
+        pairs = 0
+        for _, join, _, _ in all_lattices(n):
+            cells = row_major(join)
+            (least,), _ = least_relabeling(((cells, True),), perms)
+            first, tables = classes.setdefault(tuple(least), (cells, []))
+            if first is cells:
+                tables.extend(t for t, _ in _fill(n, _join_distributive(join, n)))
+            for perm, src in perms:
+                if relabel(first, perm, src) == cells:
+                    moved = table_relabeling(perm)
+                    for table in tables:
+                        want = relabel(row_major(table), perm, src)
+                        assert moved(table) == tuple(zip(*[iter(want)] * n))
+                        pairs += 1
+        assert pairs >= len(all_lattices(n))
 
 
 class TestCmpRelabeled:

@@ -601,6 +601,30 @@ def test_theorem2_canonicalizes_each_source_once(capsys, monkeypatch, dedup, cal
         assert set(sources) == {s for c in cfgs for _, s in enumeration.le_sources(c)}
 
 
+def test_raw_le_ids_follow_the_source_value(monkeypatch):
+    # the raw theorem2 rule memoizes by the source object: two equal but
+    # distinct sources are canonicalized apart and get one id, which is the
+    # id of each structure relabeled from them
+    calls = []
+    le_id = canon.le_structure_id
+
+    def counted(*source):
+        calls.append(source)
+        return le_id(*source)
+
+    monkeypatch.setattr(canon, "le_structure_id", counted)
+    (table, join, meet, _), first = next(
+        (structure, source)
+        for structure, source in enumeration.le_sources(EnumerationConfig(3))
+        if structure[0] != source[0]
+    )
+    copy = tuple(list(first))
+    assert copy == first and copy is not first
+    sid = cli._id_rule("theorem2", False)
+    assert sid(first) == sid(copy) == sid(first) == le_structure_id(table, join, meet)
+    assert calls == [first, copy]
+
+
 def test_line_is_the_id_and_five_fields():
     # every (flags, ok) a scope can produce: three truth values for
     # theorem1 and theorem2, (c1, remark, None) for remark, each with

@@ -223,6 +223,22 @@ class TestChunkTables:
             assert list(s._right) == [gen_ideal(s, b, "right") for b in ones]
             assert list(s._left) == [gen_ideal(s, b, "left") for b in ones]
 
+    def test_row_tables_are_shared_per_size(self, ordered_universe_3):
+        # the rows chunk tables and folds depend on n alone: two structures
+        # of one size on different tables share them, and their products
+        # still match the oracle
+        first = ordered_universe_3[-1]
+        other = next(
+            s for s in ordered_universe_3 if s.n == first.n and s.table != first.table
+        )
+        assert other._products[0] != first._products[0]
+        assert other._products[1] is first._products[1]
+        assert other._products[2] is first._products[2]
+        for s in (first, other):
+            for a in range(1 << s.n):
+                for b in range(1 << s.n):
+                    assert set_product(s, a, b) == product_by_elements(s, a, b)
+
     def test_tables_grow_linearly(self):
         # ceil(n / 6) tables of 2 ** 6 entries each, whatever the table
         for n, chunks in ((5, 1), (6, 1), (7, 2), (12, 2), (13, 3), (24, 4)):
