@@ -49,6 +49,8 @@ from .ordered import (
     intra_regular_witness,
     is_intra_regular,
     least_ideal_oracle,
+    order_int,
+    order_rows,
     set_product,
     subset_indices,
     subset_mask,

@@ -28,7 +28,10 @@ An id hashes the sorted, compact JSON of a canonical form.  `_digest`
 encodes the whole payload and is the tests' oracle; campaigns hash the same
 bytes put together from cached text instead (`ordered_digest`,
 `le_digest`), as `storage` writes its records: `part_text` is the one cache
-of table, join and meet text.
+of table, join and meet text.  An ordered id takes the order as the
+enumeration's int, bit a*n + b set iff a <= b, and writes it a row mask at
+a time from one table of row texts per carrier size; its canonical form
+minimizes the int's cells.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import itertools
 import json
 from functools import lru_cache
 from operator import itemgetter
+
+from .ordered import row_shifts
 
 DEDUP_CAP = 6
 
@@ -150,16 +155,25 @@ def _least_table(table):
     return least_relabeling(((row_major(table), True),), relabelings(len(table)))
 
 
-def _canonical(table, *rest):
+def _least_parts(table, *rest):
     """Least relabeling of table followed by the (cells, values) parts of
-    rest, compared in that order, as nested tuples.  Only the relabelings
+    rest, compared in that order, as row-major lists.  Only the relabelings
     that take table to its least form can win, so rest is minimized over
     those alone."""
-    n = len(table)
     least, reach = _least_table(tuple(map(tuple, table)))
     best, _ = least_relabeling(rest, reach)
-    rows = range(0, n * n, n)
-    return tuple(tuple(tuple(c[r : r + n]) for r in rows) for c in least + best)
+    return least + best
+
+
+def _nested(cells, n):
+    """Row-major cells as nested tuples of n rows."""
+    return tuple(tuple(cells[r : r + n]) for r in range(0, n * n, n))
+
+
+def _canonical(table, *rest):
+    """`_least_parts` as nested tuples."""
+    n = len(table)
+    return tuple(_nested(cells, n) for cells in _least_parts(table, *rest))
 
 
 def canonical_ordered(table, leq):
@@ -185,7 +199,6 @@ def _digest(payload):
 # the compact JSON text of a nested tuple, as `_digest` writes it; the
 # records of `storage` are written with it too
 compact = json.JSONEncoder(separators=(",", ":")).encode
-_leq_row = lru_cache(maxsize=None)(compact)  # rows of booleans: 2^n of length n
 # The text of a table, join or meet (nested tuples, the cache key), for ids
 # and records alike.  An ordered stream yields one table's orders in a row
 # and an le stream one lattice's structures, so two entries hold an ordered
@@ -194,22 +207,35 @@ _leq_row = lru_cache(maxsize=None)(compact)  # rows of booleans: 2^n of length n
 part_text = lru_cache(maxsize=2)(compact)
 
 
-def ordered_digest(table, leq):
-    """Digest of (table, leq) taken as it is: `ordered_structure_id` of a
+@lru_cache(maxsize=None)
+def _row_texts(n):
+    """The text of every n-bit row mask as a row of booleans, as `compact`
+    writes it, indexed by the mask."""
+    return tuple(compact([bool(m >> j & 1) for j in range(n)]) for m in range(1 << n))
+
+
+def ordered_digest(table, rel):
+    """Digest of (table, rel) taken as it is: `ordered_structure_id` of a
     structure that is its own canonical form, as every structure of an
-    up_to_iso stream is.  table and leq are nested tuples, leq of booleans.
-    It hashes the bytes `_digest` would for {"kind": "ordered_semigroup",
-    "table": table, "leq": leq}, from one cached text per order row and
-    the table's cached text."""
-    rows = ",".join(map(_leq_row, leq))
+    up_to_iso stream is.  table is nested tuples and rel the order int, bit
+    a*n + b set iff a <= b.  It hashes the bytes `_digest` would for
+    {"kind": "ordered_semigroup", "table": table, "leq": leq}, leq the
+    order as nested tuples of booleans, from the cached text of each row
+    mask of rel and the table's cached text."""
+    n = len(table)
+    texts = _row_texts(n)
+    shifts, full = row_shifts(n)  # the up-sets inline: one id per line
+    rows = ",".join([texts[rel >> s & full] for s in shifts])
     return _sha16(
         f'{{"kind":"ordered_semigroup","leq":[{rows}],"table":{part_text(table)}}}'
     )
 
 
-def ordered_structure_id(table, leq):
-    """Relabeling-invariant id of an ordered semigroup."""
-    return ordered_digest(*canonical_ordered(table, leq))
+def ordered_structure_id(table, rel):
+    """Relabeling-invariant id of an ordered semigroup, rel its order int."""
+    n = len(table)
+    least, order = _least_parts(table, ([rel >> k & 1 for k in range(n * n)], False))
+    return ordered_digest(_nested(least, n), sum(x << k for k, x in enumerate(order)))
 
 
 def le_digest(table, join, meet):

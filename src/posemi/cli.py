@@ -140,8 +140,9 @@ def _set_str(label, mask):
 
 def _tuples(kind, orders, dedup):
     """The enumerated tuples of one kind over orders, in stream order:
-    (table, leq) for "ordered", and for "semigroup" with the discrete
-    order; ((table, join, meet, top), source) for "le"."""
+    (table, rel) for "ordered", rel the order int (bit a*n + b set iff
+    a <= b), and for "semigroup" with the discrete order; ((table, join,
+    meet, top), source) for "le"."""
     mode = "up_to_iso" if dedup == "iso" else "none"
     for n in orders:
         cfg = enumeration.EnumerationConfig(n, mode)
@@ -150,12 +151,12 @@ def _tuples(kind, orders, dedup):
         elif kind == "ordered":
             yield from enumeration.ordered_pairs(cfg)
         else:
-            discrete = tuple(tuple(i == j for j in range(n)) for i in range(n))
+            discrete = ordered.order_int([[i == j for j in range(n)] for i in range(n)])
             yield from ((t, discrete) for t in enumeration.enumerate_semigroups(cfg))
 
 
 def _id_rule(scope, iso):
-    """The scope's id function, of (table, leq) or of an le source, the
+    """The scope's id function, of (table, rel) or of an le source, the
     (table, join, meet) tuple itself: on an iso stream every structure is
     its own canonical form, so the bare digest is its id.  A raw le stream
     hands every structure relabeled from one source the same source object,
@@ -190,12 +191,12 @@ def _line(sid, flags, ok):
 
 
 def _answers(scope, items, sid):
-    """(line, ok, answer) for each tuple of items: (table, leq) for
-    theorem1, (table, leq, top) for remark, ((table, join, meet, top),
-    source) for theorem2.  answer is what the scope's kernel returns:
-    (c1, c2, c3) from `theorem1_flags` or `theorem2_flags`, (c1, remark)
-    from `remark_flags`.  sid names each line, a theorem2 line by its
-    source; no structure object is built."""
+    """(line, ok, answer) for each tuple of items: (table, rel) for
+    theorem1, (table, rel, top) for remark, rel the order int, and
+    ((table, join, meet, top), source) for theorem2.  answer is what the
+    scope's kernel returns: (c1, c2, c3) from `theorem1_flags` or
+    `theorem2_flags`, (c1, remark) from `remark_flags`.  sid names each
+    line, a theorem2 line by its source; no structure object is built."""
     for item in items:
         if scope == "theorem1":
             item_id = sid(*item)
@@ -212,12 +213,14 @@ def _answers(scope, items, sid):
 
 def _campaign(scope, max_order, dedup, start, step):
     """`_answers` for the in-scope tuples of orders 1..max_order at
-    positions start, start + step, ...: for remark the (table, leq) pairs
+    positions start, start + step, ...: for remark the (table, rel) pairs
     with a greatest element, with it."""
     kind = "le" if scope == "theorem2" else "ordered"
     items = _tuples(kind, range(1, max_order + 1), dedup)
     if scope == "remark":
-        items = ((t, o, top) for t, o in items if (top := le.greatest(o)) is not None)
+        items = (
+            (t, o, top) for t, o in items if (top := le.top_of(o, len(t))) is not None
+        )
     items = islice(items, start, None, step)
     return _answers(scope, items, _id_rule(scope, dedup == "iso"))
 
@@ -244,7 +247,7 @@ def cmd_verify(args):
             return _usage_error("--file takes no --max-order, --shard or --dedup iso")
         loaded = storage.load(args.file)
         s = loaded.structure
-        item = s.table, s.leq
+        item = s.table, ordered.order_int(s.leq)
         if scope == "theorem2":
             if not isinstance(s, le.LeSemigroup):
                 return _usage_error("theorem2 requires a le_semigroup file")

@@ -12,7 +12,12 @@ Join-distributive multiplications come from the same backtracker with a
 per-cell distributivity hook, run once per lattice class; a lattice's class
 is one dict lookup on its canonical join.
 Compatible orders come from a closure walk, which also gives all partial
-orders; lattices are filtered from those.
+orders; lattices are filtered from those.  The walk holds each order as one
+int, bit a*n + b set iff a <= b, and yields it as it is: the campaigns'
+kernels, ids and records all take that int.  Only the library's streams of
+orders (`all_posets`, `enumerate_compatible_orders`,
+`enumerate_ordered_semigroups`) turn it into nested tuples of booleans,
+with `ordered.order_rows`.
 All streams are deterministic: ascending by the row-major encoding of the
 structure, so a caller can take any part of one by position (the command
 line shards and limits it with islice).
@@ -42,7 +47,7 @@ from operator import itemgetter
 
 from . import canon
 from .le import LeSemigroup, greatest
-from .ordered import OrderedSemigroup, row_masks
+from .ordered import OrderedSemigroup, down_sets, order_rows, up_sets
 
 DEDUP_MODES = ("none", "up_to_iso")
 
@@ -221,13 +226,12 @@ def enumerate_semigroups(cfg):
 def _walk_lookups(n):
     """For the order walk on n points, whose relation is one int with bit
     a*n + b set iff a <= b: the cells a*n + b of the pairs (a, b), a != b,
-    in row-major order, each row bitmask as a tuple of bools, and for each
-    x the column mask, bit r*n + x for every row r."""
+    in row-major order, and for each x the column mask, bit r*n + x for
+    every row r."""
     rng = range(n)
     cells = tuple(a * n + b for a in rng for b in rng if a != b)
-    as_tuple = tuple(tuple(bool(m >> j & 1) for j in rng) for m in range(1 << n))
     column = sum(1 << r * n for r in rng)
-    return cells, as_tuple, tuple(column << x for x in rng)
+    return cells, tuple(column << x for x in rng)
 
 
 def _include(rel, gens, below, row):
@@ -247,11 +251,12 @@ def _include(rel, gens, below, row):
 
 def _compatible_orders(table, auts=()):
     """Partial orders compatible with the table on both sides, ascending by
-    encoding.  Each is the transitive closure of the least compatible
-    preorders C(a, b), generated by (uav, ubv) for u, v in S^1, over its
-    pairs.  The walk decides the pairs in row-major order, first leaving a
-    pair out and then adding its C(a, b), and drops a branch that closes to
-    a 2-cycle or to a pair left out earlier.
+    encoding, each as its order int: bit a*n + b set iff a <= b
+    (`ordered.order_int`).  Each is the transitive closure of the least
+    compatible preorders C(a, b), generated by (uav, ubv) for u, v in S^1,
+    over its pairs.  The walk decides the pairs in row-major order, first
+    leaving a pair out and then adding its C(a, b), and drops a branch that
+    closes to a 2-cycle or to a pair left out earlier.
 
     A relation is one int with bit a*n + b set iff a <= b, so a bit's index
     is its cell's row-major index.  Adding a generator (x, y) to a
@@ -282,7 +287,7 @@ def _compatible_orders(table, auts=()):
     rng = range(n)
     lefts = {tuple(rng), *map(tuple, table)}  # x -> ux for u in S^1
     maps = lefts | {tuple(table[x][v] for x in row) for row in lefts for v in rng}
-    cells, as_tuple, col = _walk_lookups(n)
+    cells, col = _walk_lookups(n)
     row = (1 << n) - 1
     held = []  # per pair: the generators in earlier cells, as bits
     gens = []  # per pair: the others, as _include takes them
@@ -313,7 +318,6 @@ def _compatible_orders(table, auts=()):
     last = len(cells)
     belows = [(1 << c) - 1 for c in cells]  # the cells before each pair
     diagonal = sum(1 << i * (n + 1) for i in rng)
-    shifts = range(0, n * n, n)
     stack = [(0, diagonal, [(0, src) for _, src in auts])]
     while stack:
         k, rel, live = stack.pop()  # bit a*n + b of rel: a <= b
@@ -325,7 +329,7 @@ def _compatible_orders(table, auts=()):
                 if live is None:  # the cells before are final
                     break
             if k == last:
-                yield tuple([as_tuple[rel >> s & row] for s in shifts])
+                yield rel
                 break
             if not held[k] & ~rel:  # else an earlier pair changes
                 closed = _include(rel, gens[k], belows[k], row)
@@ -335,26 +339,30 @@ def _compatible_orders(table, auts=()):
 
 
 def _posets(n):
-    """Every partial order on n labeled points, ascending by encoding: the
-    compatible orders of the left-zero band xy = x, which all are."""
+    """Every partial order on n labeled points as its order int, ascending
+    by encoding: the compatible orders of the left-zero band xy = x, which
+    all are."""
     return _compatible_orders(tuple((x,) * n for x in range(n)))
 
 
 @lru_cache(maxsize=None)
 def all_posets(n):
-    """`_posets(n)` as a tuple, held for the process; no campaign reads it."""
-    return tuple(_posets(n))
+    """`_posets(n)` as a tuple of nested tuples of booleans, held for the
+    process; no campaign reads it."""
+    return tuple([order_rows(rel, n) for rel in _posets(n)])
 
 
 def enumerate_compatible_orders(table):
     """Partial orders compatible with an associative table on both sides,
-    ascending by encoding, from the closure walk; the discrete one is first."""
-    return _compatible_orders(table)
+    as nested tuples of booleans, ascending by encoding, from the closure
+    walk; the discrete one is first."""
+    n = len(table)
+    return (order_rows(rel, n) for rel in _compatible_orders(table))
 
 
 def ordered_pairs(cfg):
-    """(table, leq) of the configured ordered semigroups: every associative
-    table paired with every compatible partial order.
+    """(table, rel) of the configured ordered semigroups: every associative
+    table paired with every compatible partial order, as its order int.
 
     dedup="up_to_iso" keeps canonical (table, order) pairs: the table part
     must itself be canonical, and only table automorphisms, which the search
@@ -364,13 +372,14 @@ def ordered_pairs(cfg):
     the raw stream) keeps every order.
     """
     for table, auts in _semigroup_tables(cfg.order, cfg.dedup):
-        for leq in _compatible_orders(table, auts):
-            yield table, leq
+        for rel in _compatible_orders(table, auts):
+            yield table, rel
 
 
 def enumerate_ordered_semigroups(cfg):
     """The structures of `ordered_pairs`, as OrderedSemigroups."""
-    return (OrderedSemigroup(table, leq) for table, leq in ordered_pairs(cfg))
+    n = cfg.order
+    return (OrderedSemigroup(t, order_rows(rel, n)) for t, rel in ordered_pairs(cfg))
 
 
 @lru_cache(maxsize=None)
@@ -379,15 +388,17 @@ def all_lattices(n):
     the order encoding.  The posets stream past: order 6 has 130,023, and
     no campaign reads them again."""
     out = []
-    for leq in _posets(n):
-        tables = _lattice_tables(leq)
+    for rel in _posets(n):
+        tables = _lattice_tables(rel, n)
         if tables is not None:
+            leq = order_rows(rel, n)
             out.append((leq, *tables, greatest(leq)))
     return tuple(out)
 
 
-def _lattice_tables(leq):
-    """Join and meet tables of a poset, or None when some bound is missing.
+def _lattice_tables(rel, n):
+    """Join and meet tables of a poset, its order int rel on n points, or
+    None when some bound is missing.
 
     A common upper bound of i and j is their join exactly when its up-set is
     up[i] & up[j], the set of all their common upper bounds; so each join is
@@ -395,7 +406,7 @@ def _lattice_tables(leq):
     among the down-sets.
     """
     tables = []
-    for sets in (row_masks(leq), row_masks(zip(*leq))):  # up-sets, down-sets
+    for sets in (up_sets(rel, n), down_sets(rel, n)):
         by_set = {m: i for i, m in enumerate(sets)}
         table = []
         for a in sets:

@@ -9,8 +9,8 @@ a v ae, a v ea, a v aea and a v (ae ^ ea).
 
 `theorem2_flags` answers intra-regularity and the element-triple
 conditions from those generated elements alone.  One triple scan on
-(table, leq, top) checks every triple instead, where a triple counts only
-when its greatest lower bound exists: the element whose down-set is the
+(table, down-sets, top) checks every triple instead, where a triple counts
+only when its greatest lower bound exists: the element whose down-set is the
 intersection of theirs, on lattices and off them.  The scan gives the
 witnesses, answers the remark (`remark_flags`), and answers
 `verify_theorem2` without `theorem2_flags`, so the tests hold the kernel
@@ -20,8 +20,15 @@ to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .ordered import OrderedSemigroup, _check_condition_kind, row_masks, validate
+from .ordered import (
+    OrderedSemigroup,
+    _check_condition_kind,
+    down_sets,
+    up_sets,
+    validate,
+)
 
 ELEMENT_KINDS = ("right", "left", "bi", "quasi")
 
@@ -30,6 +37,14 @@ def greatest(leq):
     """The unique greatest element of an order relation, or None."""
     tops = [t for t, col in enumerate(zip(*leq)) if all(col)]
     return tops[0] if len(tops) == 1 else None
+
+
+def top_of(rel, n):
+    """`greatest` of an order int rel on n points (bit a*n + b set iff
+    a <= b): the element in every up-set, when there is exactly one, or
+    None."""
+    common = reduce(int.__and__, up_sets(rel, n))
+    return common.bit_length() - 1 if common and not common & common - 1 else None
 
 
 class PoeSemigroup(OrderedSemigroup):
@@ -166,22 +181,22 @@ def order_glb(leq, elems):
     return None
 
 
-def _element_flags(table, leq, e):
-    """(down, glb, flags): each element's down-set bitmask, the element of
-    each down-set (the glb of a set, if any, owns the intersection of their
-    down-sets), and each a's (right, left, bi, quasi, quasi_defined) flags:
-    ae <= a, ea <= a, aea <= a, and ae ^ ea <= a where that glb exists."""
-    down = row_masks(zip(*leq))
+def _element_flags(table, down, e):
+    """(glb, flags), from each element's down-set bitmask (x <= a iff bit x
+    of down[a]): the element of each down-set (the glb of a set, if any,
+    owns the intersection of their down-sets), and each a's (right, left,
+    bi, quasi, quasi_defined) flags: ae <= a, ea <= a, aea <= a, and
+    ae ^ ea <= a where that glb exists."""
     glb = {d: a for a, d in enumerate(down)}
     flags = []
     for a, ta in enumerate(table):
         ae, ea = ta[e], table[e][a]
         low = glb.get(down[ae] & down[ea])
         defined = low is not None
-        flags.append(
-            (leq[ae][a], leq[ea][a], leq[table[ae][a]][a], defined and leq[low][a], defined)
-        )
-    return down, glb, flags
+        below = down[a]
+        holds = [below >> x & 1 == 1 for x in (ae, ea, table[ae][a])]
+        flags.append((*holds, defined and below >> low & 1 == 1, defined))
+    return glb, flags
 
 
 def _kind_elements(flags, kind):
@@ -195,14 +210,15 @@ def element_class(struct, a):
     always)."""
     if not 0 <= a < struct.n:
         raise ValueError(f"element {a} out of range")
-    return ElementFlags(*_element_flags(struct.table, struct.leq, struct.top)[2][a])
+    return ElementFlags(*_element_flags(struct.table, struct.below, struct.top)[1][a])
 
 
 def ideal_elements(struct, kind):
     """Ascending indices whose element_class has the kind flag set."""
     if kind not in ELEMENT_KINDS:
         raise ValueError(f"unknown element kind: {kind!r}")
-    return _kind_elements(_element_flags(struct.table, struct.leq, struct.top)[2], kind)
+    _, flags = _element_flags(struct.table, struct.below, struct.top)
+    return _kind_elements(flags, kind)
 
 
 def gen_element(L, a, kind):
@@ -242,13 +258,13 @@ def least_element_oracle(L, a, kind):
     return acc
 
 
-def _intra_regular(table, leq, e):
-    return all(leq[a][table[table[e][ta[a]]][e]] for a, ta in enumerate(table))
+def _intra_regular(table, down, e):
+    return all(down[table[table[e][ta[a]]][e]] >> a & 1 for a, ta in enumerate(table))
 
 
 def is_intra_regular_poe(struct):
     """True iff a <= e*a^2*e for every a."""
-    return _intra_regular(struct.table, struct.leq, struct.top)
+    return _intra_regular(struct.table, struct.below, struct.top)
 
 
 @dataclass(frozen=True)
@@ -260,19 +276,20 @@ class ElementWitness:
     y: int
 
 
-def _triple_scan(table, leq, top, kind):
+def _triple_scan(table, down, top, kind):
     """First right/kind/left ideal-element triple (x, m, y), scanning each
     from the highest index down, whose greatest lower bound exists and is not
-    below y*m*x, as an ElementWitness; True when there is none.  The bound is
-    looked up by down-set, one rule with a lattice or without."""
-    down, glb, flags = _element_flags(table, leq, top)
+    below y*m*x, as an ElementWitness; True when there is none.  down holds
+    each element's down-set bitmask, and the bound is looked up by down-set,
+    one rule with a lattice or without."""
+    glb, flags = _element_flags(table, down, top)
     rights, mids, lefts = (_kind_elements(flags, k) for k in ("right", kind, "left"))
     for x in reversed(rights):
         for m in reversed(mids):
             xm = down[x] & down[m]
             for y in reversed(lefts):
                 low = glb.get(xm & down[y])
-                if low is not None and not leq[low][table[table[y][m]][x]]:
+                if low is not None and not down[table[table[y][m]][x]] >> low & 1:
                     return ElementWitness(x=x, m=m, y=y)
     return True
 
@@ -284,7 +301,7 @@ def le_condition_scan(L, kind):
     if not isinstance(L, LeSemigroup):
         raise TypeError("le_condition_scan requires a LeSemigroup")
     _check_condition_kind(kind)
-    return _triple_scan(L.table, L.leq, L.top, kind)
+    return _triple_scan(L.table, L.below, L.top, kind)
 
 
 def theorem2_flags(table, join, meet, top):
@@ -342,10 +359,12 @@ def verify_theorem2(L):
     )
 
 
-def remark_flags(table, leq, top):
-    """(c1, remark) of the poe-semigroup (table, leq, top): c1 is
-    a <= e*a^2*e for every a; remark is True when c1 fails or no right/bi/
-    left ideal-element triple with a greatest lower bound fails
+def remark_flags(table, rel, top):
+    """(c1, remark) of the poe-semigroup (table, rel, top), rel its order
+    int (bit a*n + b set iff a <= b), read by its columns, the down-sets:
+    c1 is a <= e*a^2*e for every a; remark is True when c1 fails or no
+    right/bi/left ideal-element triple with a greatest lower bound fails
     x ^ b ^ y <= y*b*x, else the first failing ElementWitness."""
-    c1 = _intra_regular(table, leq, top)
-    return c1, _triple_scan(table, leq, top, "bi") if c1 else True
+    down = down_sets(rel, len(table))
+    c1 = _intra_regular(table, down, top)
+    return c1, _triple_scan(table, down, top, "bi") if c1 else True

@@ -29,7 +29,10 @@ Intra-regularity (c1) is answered element by element by
 included; the tests hold it to a scan over every triple of the ideal
 families.  Campaigns need only the three truth values, and `theorem1_flags`
 gives them for every order of one table from products worked out once per
-table.
+table.  A campaign's order is one int, bit a*n + b set iff a <= b
+(`order_int`, `order_rows` and `down_sets` convert it): its rows are the
+up-sets and its columns the down-sets.  The kernel tests c1 on the rows
+alone and c2 and c3 first on the element where c1 fails.
 """
 
 from __future__ import annotations
@@ -241,6 +244,61 @@ def row_masks(rows):
     rows = tuple(rows)
     bits = [1 << j for j in range(len(rows))]
     return tuple([sum(compress(bits, row)) for row in rows])
+
+
+def order_int(leq):
+    """The order int of a 0/1 relation matrix: bit a*n + b set iff
+    leq[a][b], so row a of the int, rel >> a*n & (2^n - 1), is the up-set
+    of a and its column b the down-set of b."""
+    n = len(leq)
+    cells = (x for row in leq for x in row)
+    return sum(1 << k for k, x in enumerate(cells) if x)
+
+
+def order_rows(rel, n):
+    """The order int rel on n points as nested tuples of booleans, the
+    inverse of `order_int`: the one place the nested form is built."""
+    return tuple(map(_bool_rows(n).__getitem__, up_sets(rel, n)))
+
+
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def _bool_rows(n):
+    """Every n-bit row mask as a tuple of booleans, indexed by the mask."""
+    return tuple(tuple(bool(m >> j & 1) for j in range(n)) for m in range(1 << n))
+
+
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def _column_lookups(n):
+    """(column, spread, shift, full) that `down_sets` reads a column of an
+    order int on n points with: column holds bit r*n of every row r, and
+    multiplying the bits r*n of a column by spread, the sum of 2^(k(n-1))
+    over k < n, puts bit r*n on bit shift + r, shift = (n-1)^2, from the
+    term k = n-1-r.  Every term r*n + k(n-1) lands on its own bit, since
+    n and n-1 are coprime, so the product has no carries."""
+    column = sum(1 << r * n for r in range(n))
+    spread = sum(1 << k * (n - 1) for k in range(n))
+    return column, spread, (n - 1) ** 2, (1 << n) - 1
+
+
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def row_shifts(n):
+    """(shifts, full) for the order ints on n points: row a of rel, the
+    up-set of a, is rel >> shifts[a] & full."""
+    return tuple(range(0, n * n, n)), (1 << n) - 1
+
+
+def up_sets(rel, n):
+    """The up-sets of the order int rel on n points, the rows of rel, as a
+    tuple of n masks."""
+    shifts, full = row_shifts(n)
+    return tuple([rel >> s & full for s in shifts])
+
+
+def down_sets(rel, n):
+    """The down-sets (b] of the order int rel on n points, the columns of
+    rel, as a tuple of n masks."""
+    column, spread, shift, full = _column_lookups(n)
+    return tuple([(rel >> b & column) * spread >> shift & full for b in range(n)])
 
 
 def _union_tables(images):
@@ -510,18 +568,27 @@ def condition_holds(s, kind):
     return ConditionWitness(x=x, y=y, m=m, violating_element=elem)
 
 
+@lru_cache(maxsize=SUBSET_ENUM_CAP)
+def _members(n):
+    """The elements of every mask of n bits, indexed by the mask."""
+    return tuple([subset_indices(m) for m in range(1 << n)])
+
+
 @lru_cache(maxsize=1)
 def _table_products(table):
     """The order-free part of `theorem1_flags` for one table (nested tuples,
     the cache key): the row union tables rows[i][m] = {i*j : j in m}, the
-    elements of every mask, for every element t the masks tS, St, tSt and
-    S t^2 S, and a one-element list that `theorem1_flags` keeps the
-    down-sets (t] of an all-true order in.  Campaigns take every order of a
-    table in a row, so one cached table serves them all."""
+    elements of every mask (`_members`, shared by the tables of n
+    elements), for every element t the masks tS, St and tSt, for every a
+    (a, a*n, S a^2 S), a*n the shift of row a in an order int, and a
+    one-element list that `theorem1_flags` keeps the last all-true order of
+    the table in (-1, which no order contains, until then).  Campaigns take
+    every order of a table in a row, so one cached table serves them
+    all."""
     n = len(table)
     full = (1 << n) - 1
     rows = [_union_tables([1 << v for v in row]) for row in table]
-    members = [subset_indices(m) for m in range(full + 1)]
+    members = _members(n)
 
     def product(a, b):
         out = 0
@@ -533,74 +600,89 @@ def _table_products(table):
     st = [product(full, 1 << t) for t in range(n)]
     tst = [product(a, 1 << t) for t, a in enumerate(ts)]
     sa2s = [product(full, ts[table[a][a]]) for a in range(n)]
-    return rows, members, ts, st, tst, sa2s, [None]
+    c1_rows = tuple(zip(range(n), range(0, n * n, n), sa2s))
+    return rows, members, ts, st, tst, c1_rows, [-1]
 
 
-# The closure tables of the last _DOWN_TABLES orders.  Campaigns meet the
-# same orders on table after table (242 orders among the 4,938 iso
-# structures of order <= 4), but order 6 has 130,023 posets, about 100 MB of
-# closure tables; 4,096 of them hold every poset of order <= 4 and most of
-# order 5, in about 4 MB.
-_DOWN_TABLES = 4096
+# The closure tables of the orders met so far, keyed by the order int: a
+# reflexive relation on n points has bit length n * n, so orders of
+# different sizes never share a key.
+# Campaigns meet the same orders on table after table (242 orders among the
+# 4,938 iso structures of order <= 4), but order 6 has 130,023 posets and
+# order 7 6,129,859, so the dict is emptied whenever it holds _CLOSURE_CAP
+# tables, about 10 MB of them at order 6 and 19 MB at order 7.
+_CLOSURE_CAP = 16384
+_order_closures = {}
 
 
-@lru_cache(maxsize=_DOWN_TABLES)
-def _down_table(leq):
-    """down[m] = (m] for every mask m, of one order (nested tuples, the
-    cache key), as a tuple: every caller gets the same one."""
-    return tuple(_union_tables(row_masks(zip(*leq))))
+def _closure_table(rel, n):
+    """down[m] = (m] for every mask m, of the order int rel on n points."""
+    down = _order_closures.get(rel)
+    if down is None:
+        if len(_order_closures) >= _CLOSURE_CAP:
+            _order_closures.clear()
+        down = _order_closures[rel] = _union_tables(down_sets(rel, n))
+    return down
 
 
-def theorem1_flags(table, leq):
-    """(c1, c2, c3) of the ordered semigroup (table, leq): the truth values
-    of `verify_theorem1`, without witnesses or an OrderedSemigroup.
+def theorem1_flags(table, rel):
+    """(c1, c2, c3) of the ordered semigroup (table, rel), rel an order int
+    (bit a*n + b set iff a <= b): the truth values of `verify_theorem1`,
+    without witnesses or an OrderedSemigroup.
 
-    The table decides every product and the order enters only through the
-    closure table down[m] = (m], so the products come once per table from
-    `_table_products` and the closure table once per order from
-    `_down_table`.  With R(t) = (t u tS], L(t) = (t u St] and
+    Row a of rel is the up-set of a, so c1 holds iff each row a meets
+    S a^2 S, which comes once per table from `_table_products` with every
+    other product.  With R(t) = (t u tS], L(t) = (t u St] and
     M(t) = (t u tSt] (bi) or (t u ((tS] n (St])] (quasi), c2 and c3 hold
-    iff every t lies in (L(t) M(t) R(t)], as in `condition_holds`; c1 holds
-    iff every a lies in (S a^2 S].
+    iff every t lies in (L(t) M(t) R(t)], that is, iff row t meets
+    L(t) M(t) R(t), as in `condition_holds`.  The closures come from one
+    closure table per order (`_closure_table`).  c2 and c3 are tried first
+    on the element where c1 fails, if any, and then on every t: the answer
+    is the same for any relation, and on a compatible order that element
+    fails both conditions (a <= s a^2 t gives a <= (s^2 a)(a t s a)(a t^2),
+    and the converse holds on every iso structure of order <= 5), so an
+    all-false order stops after it.
 
     Every step above (union, product, intersection, closure) is monotone
     in the relation, so a relation that contains one with every flag true
-    has every flag true too, compatible or not.  The down-sets (t] of the
-    last such order on the table are kept with its products, and an order
-    whose down-sets contain them all is answered at once.
+    has every flag true too, compatible or not.  The last such order on
+    the table is kept with its products, and an order that contains it is
+    answered at once, before any closure.
     """
-    rows, members, ts, st, tst, sa2s, held = _table_products(table)
-    rng = range(len(table))
-    down = _down_table(leq)
-    if held[0] is not None:
-        for t, r in enumerate(held[0]):
-            if r & ~down[1 << t]:
-                break
-        else:
-            return True, True, True
-    right = [down[1 << t | ts[t]] for t in rng]
-    left = [down[1 << t | st[t]] for t in rng]
+    rows, members, ts, st, tst, c1_rows, held = _table_products(table)
+    if not held[0] & ~rel:
+        return True, True, True
+    n = len(table)
+    down = _closure_table(rel, n)
+    order = range(n)
+    c1 = True
+    for a, s, sa2s in c1_rows:
+        if not rel >> s & sa2s:
+            c1 = False
+            order = (a, *order)
+            break
 
-    def holds(mid):
-        for t in rng:
-            lm = 0
-            for i in members[left[t]]:
-                lm |= rows[i][mid[t]]
-            lmr = 0
-            for i in members[lm]:
-                lmr |= rows[i][right[t]]
-            if not down[lmr] >> t & 1:
-                return False
-        return True
+    def meets(t, mid):  # row t, the up-set of t, meets L(t) mid R(t)
+        lm = 0
+        for i in members[down[1 << t | st[t]]]:
+            lm |= rows[i][mid]
+        right = down[1 << t | ts[t]]
+        lmr = 0
+        for i in members[lm]:
+            lmr |= rows[i][right]
+        return rel >> t * n & lmr
 
-    flags = (
-        all(down[sa2s[a]] >> a & 1 for a in rng),
-        holds([down[1 << t | tst[t]] for t in rng]),
-        holds([down[1 << t | (down[ts[t]] & down[st[t]])] for t in rng]),
-    )
-    if all(flags):
-        held[0] = [down[1 << t] for t in rng]
-    return flags
+    c2 = c3 = True
+    for t in order:
+        if c2 and not meets(t, down[1 << t | tst[t]]):
+            c2 = False
+        if c3 and not meets(t, down[1 << t | (down[ts[t]] & down[st[t]])]):
+            c3 = False
+        if not (c2 or c3):
+            break
+    if c1 and c2 and c3:
+        held[0] = rel
+    return c1, c2, c3
 
 
 def verify_theorem1(s):

@@ -10,7 +10,9 @@ A file `save` writes is one line, its structure's record: the sorted,
 compact JSON of its `to_payload`.  `ordered_record` and `le_record` write
 the record straight from a structure's tuples, for `enumerate` and its
 `--out` files, put together from `canon.part_text` as `canon` puts its ids
-together, with no structure built.  `load` reads indented files too.
+together, with no structure built; `ordered_record` takes the order as the
+enumeration's int and writes its strict pairs a row mask at a time.
+`load` reads indented files too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 from .canon import compact, part_text
 from .le import LeSemigroup, PoeSemigroup, greatest, validate_le
-from .ordered import _DOWN_TABLES, OrderedSemigroup, validate
+from .ordered import OrderedSemigroup, row_shifts, validate
 
 KINDS = ("ordered_semigroup", "poe_semigroup", "le_semigroup")
 
@@ -211,24 +213,36 @@ def to_payload(structure, names=None):
     return payload
 
 
-@lru_cache(maxsize=_DOWN_TABLES)
-def _strict_pairs(leq):
-    """The text of the sorted strict pairs [i, j] of one order (nested
-    tuples of booleans, the cache key); streams meet the same orders on
-    table after table."""
-    return compact(
-        [(i, j) for i, row in enumerate(leq) for j, x in enumerate(row) if x and i != j]
-    )
+@lru_cache(maxsize=None)
+def _pair_texts(n):
+    """(rows, full) for the order ints on n points (`ordered.row_shifts`):
+    rows[a] is (texts, shift), row a of rel is rel >> shift & full, and
+    texts[m] is the strict pairs [a, b] of row a when its mask is m, each
+    followed by a comma ("" when none)."""
+    shifts, full = row_shifts(n)
+    texts = [
+        tuple(
+            "".join(f"[{a},{b}]," for b in range(n) if m >> b & 1 and b != a)
+            for m in range(1 << n)
+        )
+        for a in range(n)
+    ]
+    return tuple(zip(texts, shifts)), full
 
 
-def ordered_record(table, leq):
-    """The record of the ordered semigroup (table, leq), nested tuples: the
-    text `json.dumps(to_payload(s), sort_keys=True, separators=(",", ":"))`
-    gives for s = OrderedSemigroup(table, leq), which is neither built nor
-    checked."""
+def ordered_record(table, rel):
+    """The record of the ordered semigroup (table, rel), table nested
+    tuples and rel its order int (`ordered.order_int`): the text
+    `json.dumps(to_payload(s), sort_keys=True, separators=(",", ":"))`
+    gives for s = OrderedSemigroup(table, order_rows(rel, n)), which is
+    neither built nor checked.  The strict pairs come a row mask at a
+    time."""
+    n = len(table)
+    rows, full = _pair_texts(n)  # the up-sets inline: one record per line
+    pairs = "".join([texts[rel >> s & full] for texts, s in rows])[:-1]
     return (
-        f'{{"kind":"ordered_semigroup","leq":{_strict_pairs(leq)},'
-        f'"order":{len(table)},"table":{part_text(table)}}}'
+        f'{{"kind":"ordered_semigroup","leq":[{pairs}],'
+        f'"order":{n},"table":{part_text(table)}}}'
     )
 
 

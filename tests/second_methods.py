@@ -16,11 +16,11 @@ import hashlib
 import json
 import math
 
-from posemi import OrderedSemigroup, cli, enumeration, verify_theorem1
+from posemi import OrderedSemigroup, cli, enumeration, is_intra_regular, verify_theorem1
 from posemi.canon import is_least, least_relabeling, relabel, relabelings, row_major
-from posemi.ordered import theorem1_flags
+from posemi.ordered import order_rows, theorem1_flags
 
-from conftest import GOLDEN, relabeled, truths
+from conftest import GOLDEN, condition_scan, relabeled, truths
 
 
 @functools.cache
@@ -157,12 +157,14 @@ def burnside(n, table_stride=1):
     first = table_stride if table_stride > 1 else 0
     for t, auts in iso_tables(n)[first::table_stride]:
         kept = list(enumeration._compatible_orders(t, auts))
-        orders = [row_major(leq) for leq in enumeration._compatible_orders(t)]
+        cells = range(n * n)
+        walk = enumeration._compatible_orders(t)
+        orders = [[rel >> k & 1 for k in cells] for rel in walk]
         group = [identity, *auts]
         fixed = sum(relabel(c, *g, values=False) == c for g in group for c in orders)
         assert divmod(fixed, len(group)) == (len(kept), 0), t
-        for leq in kept:
-            digest.update("".join("01"[c] for c in row_major(leq)).encode() + b"\n")
+        for rel in kept:  # bit k of rel is cell k
+            digest.update(f"{rel:0{n * n}b}"[::-1].encode() + b"\n")
         tables += 1
         classes += len(kept)
         labeled += len(orders)
@@ -189,16 +191,43 @@ def kernel(n, table_stride, structure_stride):
     structures = 0
     checked = []
     for t, auts in iso_tables(n)[::table_stride]:
-        for leq in enumeration._compatible_orders(t, auts):
-            flags = theorem1_flags(t, leq)
+        for rel in enumeration._compatible_orders(t, auts):
+            flags = theorem1_flags(t, rel)
             if structures % structure_stride == 0:
-                assert flags == truths(verify_theorem1(OrderedSemigroup(t, leq))), (t, leq)
+                s = OrderedSemigroup(t, order_rows(rel, n))
+                assert flags == truths(verify_theorem1(s)), (t, rel)
                 checked.append(flags)
             structures += 1
     assert all(0 < sum(answers) < len(checked) for answers in zip(*checked))
     found = _found(structures=structures, checked=len(checked))
     call = f"kernel({n}, {table_stride}, {structure_stride})"
     assert found == pins("counts")["samples"][call]
+
+
+def controls(n):
+    """A negative control: Theorem 1 with compatibility dropped.  Every iso
+    table of order n is paired with every labeled partial order that is not
+    compatible with it, and each pair is checked by definition: c1 by
+    `is_intra_regular`, c2 and c3 by the scan over every ideal triple
+    (`conftest.condition_scan`), never by `theorem1_flags`, whose reduction
+    to R(t), M(t) and L(t) needs compatibility.  The answers (c1, c2, c3),
+    as T/F letters, are counted: "FTT" pairs show that the theorem needs
+    compatibility and that the checkers can find a failure, and "FFT"
+    pairs that c2 and c3 differ there too."""
+    answers = {}
+    pairs = 0
+    for t, _ in iso_tables(n):
+        compatible = set(enumeration.enumerate_compatible_orders(t))
+        for leq in enumeration.all_posets(n):
+            if leq in compatible:
+                continue
+            s = OrderedSemigroup(t, leq)
+            c2, c3 = (condition_scan(s, kind) is True for kind in ("bi", "quasi"))
+            key = "".join("TF"[not flag] for flag in (is_intra_regular(s), c2, c3))
+            answers[key] = answers.get(key, 0) + 1
+            pairs += 1
+    found = _found(pairs=pairs, answers=dict(sorted(answers.items())))
+    assert found == pins("counts")["controls"]["compatibility_dropped"][str(n)]
 
 
 class _Sink:

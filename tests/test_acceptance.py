@@ -17,6 +17,7 @@ from posemi import (
     least_element_oracle,
     least_ideal_oracle,
     le_structure_id,
+    order_int,
     ordered_structure_id,
     set_product,
     verify_theorem1,
@@ -45,7 +46,7 @@ def test_criterion_1_theorem1_exhaustive(ordered_universe_4):
     failures = []
     for s in ordered_universe_4:
         if len(set(truths(verify_theorem1(s)))) != 1:
-            failures.append(ordered_structure_id(s.table, s.leq))
+            failures.append(ordered_structure_id(s.table, order_int(s.leq)))
     report(
         "criterion 1: set-level equivalence, order <= 4",
         failures,
@@ -74,7 +75,8 @@ def test_criterion_3_generator_oracle_equivalence(ordered_universe_4, le_univers
         for x in nonempty_masks(s):
             for kind in ("left", "right", "quasi", "bi"):
                 if gen_ideal(s, x, kind) != least_ideal_oracle(s, x, kind):
-                    failures.append((ordered_structure_id(s.table, s.leq), x, kind))
+                    sid = ordered_structure_id(s.table, order_int(s.leq))
+                    failures.append((sid, x, kind))
     checked = sum(s.full * 4 for s in ordered_universe_4)
     for L in le_universe_4:
         for a in range(L.n):

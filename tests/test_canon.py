@@ -7,7 +7,12 @@ import random
 
 import pytest
 
-from posemi import canonical_le, canonical_ordered, le_structure_id
+from posemi import (
+    canonical_le,
+    canonical_ordered,
+    le_structure_id,
+    ordered_structure_id,
+)
 from posemi.canon import (
     _digest,
     cmp_relabeled,
@@ -29,6 +34,7 @@ from posemi.enumeration import (
     le_sources,
     ordered_pairs,
 )
+from posemi.ordered import order_int, order_rows
 
 from conftest import relabeled
 
@@ -182,7 +188,8 @@ class TestLeDigest:
         assert 0 < differ < len(raw)
 
 
-def _ordered_oracle(table, leq):
+def _ordered_oracle(table, rel):
+    leq = order_rows(rel, len(table))
     return _digest({"kind": "ordered_semigroup", "table": table, "leq": leq})
 
 
@@ -216,11 +223,24 @@ class TestDigestsFromCachedText:
         got = [le_digest(*p) for p in parts]
         assert got == [_le_oracle(*p) for p in parts]
 
+    def test_structure_id_is_the_digest_of_the_least_relabeling(self):
+        # ordered_structure_id minimizes the order int's cells; its oracle
+        # is the digest of the brute-force least relabeling of the rows
+        pairs = [
+            pair for n in range(1, 4) for pair in ordered_pairs(EnumerationConfig(n))
+        ]
+        assert len(pairs) == 992
+        for table, rel in pairs:
+            least = brute_canonical_ordered(table, order_rows(rel, len(table)))
+            assert ordered_structure_id(table, rel) == _digest(
+                {"kind": "ordered_semigroup", "table": least[0], "leq": least[1]}
+            )
+
     def test_ordered_alternating_tables(self):
         # the table text is cached for the last table only: A, B, A must
         # each get their own
         a, b = ((0, 0), (0, 0)), ((0, 1), (1, 0))
-        leq = ((True, False), (False, True))
+        leq = order_int(((True, False), (False, True)))
         for table in (a, b, a, b):
             assert ordered_digest(table, leq) == _ordered_oracle(table, leq)
         assert ordered_digest(a, leq) != ordered_digest(b, leq)

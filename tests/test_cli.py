@@ -314,7 +314,7 @@ class TestVerifyFileFailure:
     def test_remark(self, capsys, monkeypatch):
         # flipping c1 leaves the remark's ok as it is, so the kernel's own
         # witness is patched in
-        def remark(table, leq, top):
+        def remark(table, rel, top):
             return True, le.ElementWitness(x=1, m=2, y=0)
 
         monkeypatch.setattr(le, "remark_flags", remark)
@@ -496,9 +496,9 @@ class TestCampaignFailure:
         *_, target = enumeration.ordered_pairs(self.ISO2)
         kernel = ordered.theorem1_flags
 
-        def flags(table, leq):
-            c1, c2, c3 = kernel(table, leq)
-            if (table, leq) == target:
+        def flags(table, rel):
+            c1, c2, c3 = kernel(table, rel)
+            if (table, rel) == target:
                 c3 = not c3
             return c1, c2, c3
 
@@ -520,12 +520,12 @@ class TestCampaignFailure:
 
     def test_remark(self, capsys, monkeypatch):
         pairs = enumeration.ordered_pairs(self.ISO2)
-        *_, target = (p for p in pairs if le.greatest(p[1]) is not None)
+        *_, target = (p for p in pairs if le.top_of(p[1], len(p[0])) is not None)
         kernel = le.remark_flags
 
-        def remark(table, leq, top):
-            c1, res = kernel(table, leq, top)
-            if (table, leq) == target:
+        def remark(table, rel, top):
+            c1, res = kernel(table, rel, top)
+            if (table, rel) == target:
                 res = le.ElementWitness(x=0, m=0, y=0)
             return c1, res
 
@@ -767,7 +767,7 @@ class TestEnumerateCommand:
     def test_out_names_sort_past_a_million(self, capsys, monkeypatch, tmp_path):
         # positions 100,001 and 1,000,000: six-digit names would sort the
         # second first, ten digits keep name order the stream order
-        pair = ((0,),), ((True,),)
+        pair = ((0,),), 1  # the one-element table and its order int
         stream = itertools.repeat(pair, 10**6 + 1)
         monkeypatch.setattr(cli, "_tuples", lambda *a: stream)
         argv = ["enumerate", "--kind", "semigroup", "--order", "1"]

@@ -6,6 +6,7 @@ counts.  Sharding and limits are the command line's; tests/test_cli.py
 covers them."""
 
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -29,12 +30,15 @@ from posemi.enumeration import (
     _fill,
     _include,
     _join_distributive,
+    _posets,
     _walk_lookups,
     enumerate_compatible_orders,
     enumerate_le_semigroups,
     enumerate_ordered_semigroups,
     enumerate_semigroups,
+    ordered_pairs,
 )
+from posemi.ordered import order_int, order_rows
 
 from conftest import relabeled
 from second_methods import (
@@ -261,6 +265,60 @@ class TestPosets:
             assert posets[0] == discrete
 
 
+def _sha256_of_repr(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestOrderInts:
+    """The walk yields each order as one int, bit a*n + b set iff a <= b;
+    the library's streams turn it into the nested tuples of booleans they
+    gave before (`order_rows`), pinned here by the SHA-256 of their repr,
+    which tells True from 1."""
+
+    def test_round_trip_on_every_labeled_poset(self):
+        counts = []
+        for n in range(1, 6):
+            rels = list(_posets(n))
+            assert [order_int(order_rows(rel, n)) for rel in rels] == rels
+            assert [order_int(leq) for leq in all_posets(n)] == rels
+            assert all(rel.bit_length() == n * n for rel in rels)
+            counts.append(len(rels))
+        assert counts == [1, 3, 19, 219, 4231]
+
+    def test_all_posets_as_nested_booleans(self):
+        posets = [all_posets(n) for n in range(1, 6)]
+        assert _sha256_of_repr(posets) == (
+            "e913fe7b19641698bfde01da41b754140f883b81e09a0bced9a0124a5fbdda03"
+        )
+
+    def test_compatible_orders_as_nested_booleans(self):
+        iso4 = enumerate_semigroups(EnumerationConfig(4, "up_to_iso"))
+        orders = [list(enumerate_compatible_orders(t)) for t in iso4]
+        assert _sha256_of_repr(orders) == (
+            "e03f053df3f64da4e057644ba3faf6d54c193809b319e1048519ffce5071df6a"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg,sha256",
+        [
+            (
+                EnumerationConfig(3),
+                "f7b35833dca96f59b8acdf7f58cdf6d6f68c8e17d5da4072f245b2c4cbfdfd98",
+            ),
+            (
+                EnumerationConfig(4, "up_to_iso"),
+                "9baf8bbdd4749527aa05fe7b4c9268799aad215ed6c5acc7ae306ebc610ac5c9",
+            ),
+        ],
+        ids=["raw3", "iso4"],
+    )
+    def test_ordered_semigroups_as_nested_booleans(self, cfg, sha256):
+        structures = list(enumerate_ordered_semigroups(cfg))
+        assert _sha256_of_repr([(s.table, s.leq) for s in structures]) == sha256
+        pairs = ordered_pairs(cfg)
+        assert [(s.table, order_int(s.leq)) for s in structures] == list(pairs)
+
+
 class TestCompatibleOrders:
     def test_null_and_left_zero_tables(self):
         assert sum(1 for _ in enumerate_compatible_orders(((0, 0), (0, 0)))) == 3
@@ -331,7 +389,7 @@ def test_packed_include_matches_rows(n, data):
     pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
     cell = data.draw(st.integers(0, n * n - 1))
     pack = lambda rows: sum(r << a * n for a, r in enumerate(rows))
-    col = _walk_lookups(n)[2]
+    col = _walk_lookups(n)[1]
     gens = [(col[x], x, y * n, y * n + x) for x, y in pairs]
     rel, below, row = pack(rows), (1 << cell) - 1, (1 << n) - 1
     got = _include(rel, gens, below, row)
@@ -501,14 +559,15 @@ class TestSymmetryBreaking:
         # the same order: every 25th order-5 iso table
         tables = _fill(5, perms=relabelings(5)[1:])
         for t, auts in itertools.islice(tables, 0, None, 25):
-            assert list(_compatible_orders(t, auts)) == self.filtered_walk(t, auts)
+            got = [order_rows(rel, 5) for rel in _compatible_orders(t, auts)]
+            assert got == self.filtered_walk(t, auts)
 
     def test_pruned_walk_on_the_order_six_constant_table(self):
         # order-6 table 0, xy = 0, has 119 automorphisms and all 130,023
         # posets as compatible orders, of which 1,533 are kept
         t, auts = next(_fill(6, perms=relabelings(6)[1:]))
         assert t == ((0,) * 6,) * 6 and len(auts) == 119
-        got = list(_compatible_orders(t, auts))
+        got = [order_rows(rel, 6) for rel in _compatible_orders(t, auts)]
         assert len(got) == 1533
         assert got == self.filtered_walk(t, auts)
 

@@ -24,9 +24,16 @@ from posemi import (
     verify_theorem2,
 )
 from posemi import le
+from posemi.enumeration import all_posets
 from posemi.le import remark_flags, theorem2_flags
+from posemi.ordered import order_int
 
 from conftest import CHAIN3_JOIN, CHAIN3_MEET, make_l3null, truths
+
+
+def remark(p):
+    """`remark_flags` of a poe-semigroup, its order given as the order int."""
+    return remark_flags(p.table, order_int(p.leq), p.top)
 
 
 def make_one_le():
@@ -297,34 +304,43 @@ class TestGeneratedQuasiChain:
 
 
 class TestCheckRemark:
-    """The remark, `remark_flags(table, leq, top)[1]`, on lattices and off
-    them."""
+    """The remark, `remark_flags(table, rel, top)[1]` with rel the order
+    int, on lattices and off them."""
 
     def test_le_views_are_consistent(self, l3null, l3meet, le_universe_3):
-        assert remark_flags(l3meet.table, l3meet.leq, l3meet.top) == (True, True)
-        assert remark_flags(l3null.table, l3null.leq, l3null.top) == (False, True)
+        assert remark(l3meet) == (True, True)
+        assert remark(l3null) == (False, True)
         for L in le_universe_3:
             # the poe view of a lattice finds the lattice's top
             assert PoeSemigroup(L.table, L.leq).top == L.top
-            c1, remark = remark_flags(L.table, L.leq, L.top)
+            c1, holds = remark(L)
             assert c1 == is_intra_regular_poe(L)
             if c1:
-                assert remark is True
+                assert holds is True
 
     def test_nonlattice_intra_regular(self):
         poe = make_poe_nonlattice_intra()
         assert is_intra_regular_poe(poe)
         assert ideal_elements(poe, "right") == [2]
-        assert remark_flags(poe.table, poe.leq, poe.top)[1] is True
+        assert remark(poe)[1] is True
 
     def test_vacuous_when_not_intra_regular(self):
         poe = make_poe_no_meet()
         assert not is_intra_regular_poe(poe)
-        assert remark_flags(poe.table, poe.leq, poe.top)[1] is True
+        assert remark(poe)[1] is True
 
     def test_one_element(self):
         poe = PoeSemigroup([[0]], [[1]], top=0)
-        assert remark_flags(poe.table, poe.leq, poe.top) == (True, True)
+        assert remark(poe) == (True, True)
+
+    def test_top_of_the_order_int_is_greatest(self):
+        # the remark campaign's top test against `greatest` of the rows, on
+        # every labeled poset of orders 1 to 5
+        for n in range(1, 6):
+            posets = all_posets(n)
+            tops = [le.top_of(order_int(leq), n) for leq in posets]
+            assert tops == [greatest(leq) for leq in posets]
+            assert None in tops or n == 1
 
 
 class TestIdealElements:

@@ -1,7 +1,7 @@
 """The element-triple scan and the remark against independent methods.
 
 `le._triple_scan` reads every greatest lower bound off the down-sets and
-the ideal elements off one flag table, on (table, leq, top) tuples.  The
+the ideal elements off one flag table, on (table, down-sets, top) tuples.  The
 reference here scans the same triples in the same order with the ideal
 elements of `ideal_elements` and the bound from `order_glb` on a
 poe-semigroup or from the meet table on a lattice, and the element flags
@@ -38,7 +38,7 @@ from posemi.enumeration import (
     ordered_pairs,
 )
 from posemi.le import _triple_scan, remark_flags
-from posemi.ordered import theorem1_flags
+from posemi.ordered import order_int, order_rows, theorem1_flags
 
 # every ORDER4_TABLE_STRIDE-th of the 3,492 order-4 tables, on each lattice
 ORDER4_TABLE_STRIDE = 7
@@ -98,11 +98,11 @@ def assert_scans_agree(structures):
             assert ideal_elements(s, kind) == want
         for kind in ("bi", "quasi"):
             want = reference_scan(s, kind, skipped)
-            assert _triple_scan(s.table, s.leq, s.top, kind) == want, (s.table, s.leq)
+            assert _triple_scan(s.table, s.below, s.top, kind) == want, (s.table, s.leq)
             if isinstance(s, LeSemigroup):
                 assert le_condition_scan(s, kind) == want
             witnesses += want is not True
-        c1, remark = remark_flags(s.table, s.leq, s.top)
+        c1, remark = remark_flags(s.table, order_int(s.leq), s.top)
         assert remark == (reference_scan(s, "bi", [0]) if c1 else True)
     return witnesses, skipped[0]
 
@@ -137,27 +137,27 @@ def test_scan_on_every_lattice():
 
 @pytest.fixture(scope="module")
 def raw_poe_4():
-    """(table, leq, top) of every raw ordered semigroup of order <= 4 whose
-    order has a greatest element."""
+    """(table, rel, top) of every raw ordered semigroup of order <= 4 whose
+    order has a greatest element, rel the order int."""
     return [
-        (table, leq, top)
+        (table, rel, top)
         for n in (1, 2, 3, 4)
-        for table, leq in ordered_pairs(EnumerationConfig(n))
-        if (top := greatest(leq)) is not None
+        for table, rel in ordered_pairs(EnumerationConfig(n))
+        if (top := greatest(order_rows(rel, n))) is not None
     ]
 
 
 def test_remark_c1_is_theorem1_c1(raw_poe_4):
     assert len(raw_poe_4) == 33235
-    for table, leq, top in raw_poe_4:
-        assert remark_flags(table, leq, top)[0] == theorem1_flags(table, leq)[0]
+    for table, rel, top in raw_poe_4:
+        assert remark_flags(table, rel, top)[0] == theorem1_flags(table, rel)[0]
 
 
 def test_remark_under_reversal(raw_poe_4):
     seen = set()
-    for table, leq, top in raw_poe_4:
-        c1, remark = remark_flags(table, leq, top)
-        flipped = remark_flags(tuple(zip(*table)), leq, top)
+    for table, rel, top in raw_poe_4:
+        c1, remark = remark_flags(table, rel, top)
+        flipped = remark_flags(tuple(zip(*table)), rel, top)
         assert (c1, remark is True) == (flipped[0], flipped[1] is True)
         seen.add(c1)
     assert seen == {True, False}

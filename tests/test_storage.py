@@ -18,6 +18,7 @@ from posemi import (
 )
 from posemi.canon import le_digest, ordered_digest, part_text
 from posemi.cli import _tuples
+from posemi.ordered import order_rows
 from posemi.storage import le_record, ordered_record
 
 from conftest import FIXTURES, make_n2, make_s2l
@@ -269,7 +270,9 @@ def _record_and_structure(kind, item):
         (table, join, meet, top), _ = item
         structure = LeSemigroup(table, join, meet, top=top)
         return le_record(table, join, meet, top), structure
-    return ordered_record(*item), OrderedSemigroup(*item)
+    table, rel = item
+    structure = OrderedSemigroup(table, order_rows(rel, len(table)))
+    return ordered_record(table, rel), structure
 
 
 class TestRecordsFromTuples:
@@ -303,7 +306,7 @@ class TestRecordsFromTuples:
 
     @pytest.mark.parametrize(
         "kind,caches",
-        [("ordered", [storage._strict_pairs, part_text]), ("le", [part_text])],
+        [("ordered", [storage._pair_texts, part_text]), ("le", [part_text])],
     )
     def test_alternating_tables_and_orders(self, kind, caches):
         # the raw order-3 stream in order, then its first and last items in

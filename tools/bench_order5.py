@@ -61,10 +61,13 @@ _ORDERED = {
 }
 LAYERS = {
     "theorem1": {**_ORDERED, "ordered.theorem1_flags": "kernel"},
-    "remark": {**_ORDERED, "le.greatest": "walk", "le.remark_flags": "checks"},
+    "remark": {**_ORDERED, "le.top_of": "walk", "le.remark_flags": "checks"},
+    # le_sources' own steps relabel and sort the search's tables (raw) or
+    # canonicalize and sort them (iso); the search itself is _fill's
     "theorem2": {
         "enumeration.all_lattices": "lattices",
-        "enumeration.le_sources": "fill",
+        "enumeration._fill": "search",
+        "enumeration.le_sources": "relabel",
         "canon.le_digest": "ids",
         "canon.le_structure_id": "ids",
         "le.theorem2_flags": "checks",
